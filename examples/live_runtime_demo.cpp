@@ -39,7 +39,8 @@ ObjectState cart_state() {
 void race(bool placement) {
   LiveSystem::Options opts;
   opts.nodes = 3;
-  opts.policy = placement ? MovePolicy::Placement : MovePolicy::Conventional;
+  opts.policy = placement ? omig::migration::PolicyKind::Placement
+                          : omig::migration::PolicyKind::Conventional;
   opts.remote_latency = std::chrono::microseconds{200};
   LiveSystem sys{opts};
   sys.register_type("cart", cart_factory());

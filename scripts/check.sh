@@ -4,8 +4,9 @@
 # the live runtime, the transport layer (wire codec, TCP sockets,
 # multi-process cluster), the fault-injection / chaos tests, the durable
 # store (WAL, snapshots, crash recovery), the work-stealing executor +
-# parallel sweep engine, the scenario pack's threaded live driver, and the
-# adaptive placement policies (EMA tracker, hysteresis, live moves).
+# parallel sweep engine, the scenario pack's threaded live driver, the
+# adaptive placement policies (EMA tracker, hysteresis, live moves), and
+# the sim-vs-live protocol parity suite.
 #
 # Usage: scripts/check.sh [extra ctest args]
 set -euo pipefail
@@ -31,7 +32,7 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1} su
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j \
-  -R 'Mailbox|LiveNode|LiveSystem|OfficeWorkflow|LiveFault|FaultPlan|FaultInjector|NodeHealth|CrashDriver|Chaos|Executor|SweepParallel|SweepGolden|EnginePool|EventHeap|DenseTable|Transport|Wire|MultiProcess|TcpLink|InProcTransport|Metrics|Histogram|Exporter|Wal|Store|Snapshot|Recovery|ShardedDirectory|LocationCache|LocationFuzz|Scenario|Zipf|Adaptive|Locality|Hysteresis|EventLoop|AsyncTcp|Net' \
+  -R 'Mailbox|LiveNode|LiveSystem|OfficeWorkflow|LiveFault|FaultPlan|FaultInjector|NodeHealth|CrashDriver|Chaos|Executor|SweepParallel|SweepGolden|EnginePool|EventHeap|DenseTable|Transport|Wire|MultiProcess|TcpLink|InProcTransport|Metrics|Histogram|Exporter|Wal|Store|Snapshot|Recovery|ShardedDirectory|LocationCache|LocationFuzz|Scenario|Zipf|Adaptive|Locality|Hysteresis|EventLoop|AsyncTcp|Net|ProtocolParity' \
   "$@"
 
 echo "check.sh: sanitized runtime + fault suites passed"

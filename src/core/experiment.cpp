@@ -83,7 +83,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     locality =
         std::make_unique<objsys::LocalityTracker>(node_count, config.ema_decay);
     invoker.set_locality_tracker(locality.get());
-    manager.set_locality_tracker(locality.get());
+    manager.protocol().set_locality(locality.get());
   }
 
   // Fault machinery only exists when the plan asks for it — an empty plan
@@ -173,9 +173,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   r.call_p50 = recorder.call_duration_quantile(0.50);
   r.call_p95 = recorder.call_duration_quantile(0.95);
   r.call_p99 = recorder.call_duration_quantile(0.99);
-  r.lease_expiries = manager.lease_expiries();
+  r.lease_expiries = manager.protocol().lease_expiries();
   {
-    const migration::PolicyCounters& pc = manager.policy_counters();
+    const migration::PolicyCounters& pc = manager.protocol().counters();
     r.policy_migrations = pc.migrations_triggered;
     r.policy_suppressed_hysteresis = pc.suppressed_hysteresis;
     r.policy_suppressed_load = pc.suppressed_load;

@@ -36,6 +36,10 @@ struct MoveBlock {
   /// Objects this block holds placement locks on (superset of `moved`:
   /// cluster members that were already local are locked but not transferred).
   std::vector<ObjectId> locked;
+  /// False until the protocol admits the move; stays false when it refuses
+  /// outright (a conflicting block holds the target's lock, or the target
+  /// cannot move) and the caller works remotely.
+  bool granted = false;
   /// True if the block holds placement locks (successful place-policy move).
   bool lock_held = false;
   /// True if the dynamic policies registered this block in the per-node

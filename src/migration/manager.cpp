@@ -20,29 +20,15 @@ MigrationManager::MigrationManager(sim::Engine& engine,
                                    AllianceRegistry& alliances,
                                    ManagerOptions options)
     : engine_{&engine}, registry_{&registry}, latency_{&latency}, rng_{&rng},
-      attachments_{&attachments}, alliances_{&alliances}, options_{options} {
+      alliances_{&alliances}, options_{options},
+      protocol_{*this, attachments, registry.node_count(),
+                ProtocolOptions{options.transitivity,
+                                options.clear_majority_minimum,
+                                options.lock_lease, options.hysteresis_band,
+                                options.adaptive_min_weight,
+                                options.load_factor}} {
   OMIG_REQUIRE(options.migration_duration >= 0.0,
                "migration duration must be non-negative");
-}
-
-MoveBlock MigrationManager::new_block(objsys::NodeId origin, ObjectId target,
-                                      AllianceId alliance, bool visit) {
-  MoveBlock blk;
-  blk.id = objsys::BlockId{next_block_++};
-  blk.origin = origin;
-  blk.target = target;
-  blk.alliance = alliance;
-  blk.visit = visit;
-  return blk;
-}
-
-std::vector<ObjectId> MigrationManager::migration_cluster(
-    ObjectId obj, AllianceId alliance) const {
-  if (options_.transitivity == AttachTransitivity::ATransitive &&
-      alliance.valid()) {
-    return attachments_->closure_in(obj, alliance);
-  }
-  return attachments_->closure(obj);
 }
 
 void MigrationManager::trace_event(trace::EventKind kind, ObjectId object,
@@ -177,93 +163,6 @@ sim::Task MigrationManager::transfer(std::vector<ObjectId> objs,
     registry_->add_replica(o, dest);
     trace_event(trace::EventKind::ReplicaCreated, o, dest, blk_id);
   }
-}
-
-bool MigrationManager::lease_expired(const Lock& lock) const {
-  return options_.lock_lease > 0.0 && engine_->now() >= lock.expiry;
-}
-
-bool MigrationManager::is_locked(ObjectId obj) const {
-  const Lock* lock = locks_.find(obj);
-  return lock != nullptr && !lease_expired(*lock);
-}
-
-objsys::BlockId MigrationManager::lock_owner(ObjectId obj) const {
-  const Lock* lock = locks_.find(obj);
-  if (lock == nullptr || lease_expired(*lock)) {
-    return objsys::BlockId::invalid();
-  }
-  return lock->owner;
-}
-
-bool MigrationManager::try_lock(ObjectId obj, objsys::BlockId blk) {
-  Lock* lock = locks_.find(obj);
-  if (lock != nullptr && lease_expired(*lock)) {
-    // The holding block outlived its lease — presumed dead with a crashed
-    // node. Release the object in place so this move can take over.
-    trace_event(trace::EventKind::Unlock, obj, objsys::NodeId::invalid(),
-                lock->owner);
-    ++lease_expiries_;
-    locks_.erase(obj);
-    lock = nullptr;
-  }
-  if (lock == nullptr) {
-    locks_.try_emplace(obj, Lock{blk, engine_->now() + options_.lock_lease});
-    trace_event(trace::EventKind::Lock, obj, objsys::NodeId::invalid(), blk);
-    return true;
-  }
-  return lock->owner == blk;
-}
-
-void MigrationManager::unlock(ObjectId obj, objsys::BlockId blk) {
-  const Lock* lock = locks_.find(obj);
-  if (lock != nullptr && lock->owner == blk) {
-    locks_.erase(obj);
-    trace_event(trace::EventKind::Unlock, obj, objsys::NodeId::invalid(),
-                blk);
-  }
-}
-
-void MigrationManager::note_move(ObjectId obj, objsys::NodeId node) {
-  std::vector<int>& counts = open_moves_[obj];
-  if (counts.size() <= node.value()) counts.resize(node.value() + 1, 0);
-  ++counts[node.value()];
-}
-
-void MigrationManager::note_end(ObjectId obj, objsys::NodeId node) {
-  std::vector<int>* counts = open_moves_.find(obj);
-  OMIG_REQUIRE(counts != nullptr, "end without matching move");
-  OMIG_REQUIRE(node.value() < counts->size() && (*counts)[node.value()] > 0,
-               "end without matching move at this node");
-  --(*counts)[node.value()];
-}
-
-int MigrationManager::open_moves(ObjectId obj, objsys::NodeId node) const {
-  const std::vector<int>* counts = open_moves_.find(obj);
-  if (counts == nullptr || node.value() >= counts->size()) return 0;
-  return (*counts)[node.value()];
-}
-
-objsys::NodeId MigrationManager::strict_majority_node(ObjectId obj) const {
-  const std::vector<int>* counts = open_moves_.find(obj);
-  if (counts == nullptr) return objsys::NodeId::invalid();
-  objsys::NodeId best = objsys::NodeId::invalid();
-  int best_count = 0;
-  bool tie = false;
-  for (std::size_t n = 0; n < counts->size(); ++n) {
-    const int count = (*counts)[n];
-    if (count > best_count) {
-      best = objsys::NodeId{static_cast<objsys::NodeId::value_type>(n)};
-      best_count = count;
-      tie = false;
-    } else if (count == best_count && count > 0) {
-      tie = true;
-    }
-  }
-  if (tie || best_count < options_.clear_majority_minimum) {
-    return objsys::NodeId::invalid();
-  }
-  return best;
 }
 
 void MigrationManager::set_background_cost_sink(

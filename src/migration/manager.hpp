@@ -1,12 +1,12 @@
-// Migration manager: the run-time support of Section 3.1.
+// Migration manager: the simulator's run-time support of Section 3.1.
 //
 // Migration requests are interpreted at the node of the callee instead of
-// being executed blindly — this is where the place-policy and the dynamic
-// policies hook in. The manager owns the shared mechanics all policies use:
-// computing the attachment cluster that migrates with an object, performing
-// the physical transfer (closing transit gates, advancing time by M,
-// relocating), placement locks, and the per-node open-move bookkeeping used
-// by the dynamic policies of Section 3.3.
+// being executed blindly. The interpretation itself — clusters, placement
+// locks, open-move counts, every policy's decision — is the ProtocolCore
+// (migration/protocol.hpp) the live runtime runs too; the manager owns it,
+// serves it the registry as its object table, and supplies the simulated
+// mechanics around its decisions: control messages and physical transfers
+// (closing transit gates, advancing time by M, relocating).
 #pragma once
 
 #include <functional>
@@ -16,25 +16,18 @@
 #include "migration/alliance.hpp"
 #include "migration/attachment.hpp"
 #include "migration/block.hpp"
+#include "migration/protocol.hpp"
 #include "net/latency.hpp"
-#include "objsys/locality.hpp"
 #include "objsys/location_service.hpp"
 #include "objsys/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
 #include "sim/task.hpp"
 #include "trace/log.hpp"
-#include "util/dense_table.hpp"
 
 namespace omig::migration {
 
 using objsys::ObjectRegistry;
-
-/// Which attachment closure a migration drags along.
-enum class AttachTransitivity {
-  Unrestricted,  ///< conventional: the whole connected component
-  ATransitive,   ///< restricted to the edges of the block's alliance
-};
 
 /// How a multi-object cluster is physically transferred.
 enum class ClusterTransfer {
@@ -42,69 +35,43 @@ enum class ClusterTransfer {
   Serial,    ///< one after another: duration = sum(M_i)
 };
 
+/// The protocol's options (ProtocolOptions, in sim time) plus the
+/// simulated transfer's cost model.
 struct ManagerOptions {
   /// Migration duration per unit of object size (paper: M = 6, size 1).
   double migration_duration = 6.0;
   AttachTransitivity transitivity = AttachTransitivity::Unrestricted;
   ClusterTransfer transfer = ClusterTransfer::Parallel;
-  /// Minimum open-move count for a node to hold a "clear majority"
-  /// (Section 4.3's reinstantiation trigger). The paper does not quantify
-  /// "clear"; 2 avoids ping-ponging the object after every end-request
-  /// towards whichever single block happens to be open.
   int clear_majority_minimum = 2;
-  /// Placement-lock lease in sim time. A lock older than this is presumed
-  /// orphaned (its block died with a crashed node or stalled) and expires:
-  /// the object is released in place and a competing move may take over.
-  /// Zero = locks never expire (the paper's semantics).
   double lock_lease = 0.0;
-
-  // --- adaptive policies (docs/policies.md) -------------------------------
-  /// Hysteresis band for the adaptive policies: the EMA-dominant node must
-  /// lead the current host's share by at least this margin before the
-  /// object migrates (design decision 9, docs/ARCHITECTURE.md — prevents
-  /// ping-ponging between two evenly-matched callers).
   double hysteresis_band = 0.2;
-  /// Minimum effective EMA sample size before an adaptive migration is
-  /// considered at all (a single access must not relocate an object).
   double adaptive_min_weight = 4.0;
-  /// Load veto for the load-aware adaptive policy: a migration toward the
-  /// dominant node is suppressed when that node already hosts more than
-  /// `load_factor` × the mean per-node object count.
   double load_factor = 2.0;
 };
 
-/// Per-run tallies of the adaptive policies' decisions, folded into the
-/// omig_policy_* families once per run (core/experiment.cpp). Plain
-/// integers: the engine is single-threaded.
-struct PolicyCounters {
-  std::uint64_t migrations_triggered = 0;   ///< adaptive moves executed
-  std::uint64_t suppressed_hysteresis = 0;  ///< margin/weight under the band
-  std::uint64_t suppressed_load = 0;        ///< load veto fired
-  std::uint64_t pingpong_reversals = 0;     ///< move undoing the previous one
-};
-
-class MigrationManager {
+class MigrationManager : private ObjectView {
 public:
   MigrationManager(sim::Engine& engine, ObjectRegistry& registry,
                    const net::LatencyModel& latency, sim::Rng& rng,
                    AttachmentGraph& attachments, AllianceRegistry& alliances,
                    ManagerOptions options);
 
-  [[nodiscard]] const ManagerOptions& options() const { return options_; }
   [[nodiscard]] ObjectRegistry& registry() { return *registry_; }
   [[nodiscard]] sim::Engine& engine() { return *engine_; }
-  [[nodiscard]] AttachmentGraph& attachments() { return *attachments_; }
+  [[nodiscard]] AttachmentGraph& attachments() {
+    return protocol_.attachments();
+  }
   [[nodiscard]] AllianceRegistry& alliances() { return *alliances_; }
+  /// The placement protocol this simulation drives.
+  [[nodiscard]] ProtocolCore& protocol() { return protocol_; }
+  [[nodiscard]] const ProtocolCore& protocol() const { return protocol_; }
 
   /// Creates a fresh move-block context.
   MoveBlock new_block(objsys::NodeId origin, ObjectId target,
                       AllianceId alliance = AllianceId::invalid(),
-                      bool visit = false);
-
-  /// The set of objects that migrates together with `obj` under the
-  /// configured transitivity, given the block's alliance context.
-  [[nodiscard]] std::vector<ObjectId> migration_cluster(
-      ObjectId obj, AllianceId alliance) const;
+                      bool visit = false) {
+    return protocol_.new_block(origin, target, alliance, visit);
+  }
 
   /// One-way control message from `from` to the *current* location of
   /// `about` (e.g. a move request). Charged to `blk` (may be null).
@@ -124,31 +91,6 @@ public:
   sim::Task transfer(std::vector<ObjectId> objs, objsys::NodeId dest,
                      MoveBlock* blk);
 
-  // --- placement locks ----------------------------------------------------
-  /// Expired leases read as unlocked everywhere; the actual release (and
-  /// its Unlock trace event) happens when the next try_lock touches them.
-  [[nodiscard]] bool is_locked(ObjectId obj) const;
-  [[nodiscard]] objsys::BlockId lock_owner(ObjectId obj) const;
-  /// Acquires the lock for `blk` if free (or already held by `blk`),
-  /// expiring a dead holder's lease first.
-  bool try_lock(ObjectId obj, objsys::BlockId blk);
-  /// Releases the lock if held by `blk`.
-  void unlock(ObjectId obj, objsys::BlockId blk);
-  [[nodiscard]] std::size_t locked_count() const { return locks_.size(); }
-  /// Locks released because their lease ran out.
-  [[nodiscard]] std::uint64_t lease_expiries() const {
-    return lease_expiries_;
-  }
-
-  // --- open-move bookkeeping (dynamic policies, Section 3.3) --------------
-  void note_move(ObjectId obj, objsys::NodeId node);
-  void note_end(ObjectId obj, objsys::NodeId node);
-  [[nodiscard]] int open_moves(ObjectId obj, objsys::NodeId node) const;
-  /// The unique node with strictly the most open moves on `obj` (count >=
-  /// options().clear_majority_minimum), or invalid() on a tie / no such
-  /// node.
-  [[nodiscard]] objsys::NodeId strict_majority_node(ObjectId obj) const;
-
   /// Sink for migration cost not attributable to any block (reinstantiation
   /// migrations triggered by end-requests run in the background).
   void set_background_cost_sink(std::function<void(double)> sink);
@@ -158,19 +100,6 @@ public:
   /// Not owned.
   void set_location_service(objsys::LocationService* service) {
     service_ = service;
-  }
-
-  /// Access-locality tracker the adaptive policies consult; attached by the
-  /// experiment driver for the adaptive PolicyKinds. Not owned.
-  void set_locality_tracker(objsys::LocalityTracker* tracker) {
-    locality_ = tracker;
-  }
-  [[nodiscard]] objsys::LocalityTracker* locality() { return locality_; }
-
-  /// Adaptive-policy decision tallies (see PolicyCounters).
-  [[nodiscard]] PolicyCounters& policy_counters() { return policy_counters_; }
-  [[nodiscard]] const PolicyCounters& policy_counters() const {
-    return policy_counters_;
   }
 
   /// Optional instrumentation: all protocol events (requests, refusals,
@@ -188,7 +117,7 @@ public:
   }
 
   /// Emits a trace event if a trace log is attached (used by policies for
-  /// block-begin/end and refusal events).
+  /// block-begin/end events and by the protocol for its decisions).
   void trace_event(trace::EventKind kind,
                    ObjectId object = ObjectId::invalid(),
                    objsys::NodeId node = objsys::NodeId::invalid(),
@@ -198,13 +127,32 @@ public:
   [[nodiscard]] std::uint64_t control_messages() const { return control_; }
 
 private:
-  struct Lock {
-    objsys::BlockId owner;
-    sim::SimTime expiry;  ///< meaningful only when options_.lock_lease > 0
-  };
+  // ObjectView: the registry, as the protocol core reads it.
+  [[nodiscard]] objsys::NodeId host(ObjectId obj) const override {
+    return registry_->location(obj);
+  }
+  [[nodiscard]] bool pinned(ObjectId obj) const override {
+    return registry_->is_fixed(obj) || !registry_->descriptor(obj).mobile;
+  }
+  [[nodiscard]] bool immutable(ObjectId obj) const override {
+    return registry_->descriptor(obj).immutable;
+  }
+  [[nodiscard]] bool in_transit(ObjectId obj) const override {
+    return registry_->in_transit(obj);
+  }
+  [[nodiscard]] std::size_t hosted(objsys::NodeId node) const override {
+    return registry_->objects_at(node);
+  }
+  [[nodiscard]] std::size_t object_count() const override {
+    return registry_->object_count();
+  }
+  [[nodiscard]] double now() const override { return engine_->now(); }
+  void record(trace::EventKind kind, ObjectId object, objsys::NodeId node,
+              objsys::BlockId block) override {
+    trace_event(kind, object, node, block);
+  }
 
   void charge(MoveBlock* blk, double cost);
-  [[nodiscard]] bool lease_expired(const Lock& lock) const;
   /// Cost of one control-message leg including injected faults (mirrors
   /// Invoker::message_leg).
   [[nodiscard]] sim::SimTime message_cost(std::size_t from, std::size_t to);
@@ -213,25 +161,15 @@ private:
   ObjectRegistry* registry_;
   const net::LatencyModel* latency_;
   sim::Rng* rng_;
-  AttachmentGraph* attachments_;
   AllianceRegistry* alliances_;
   ManagerOptions options_;
+  ProtocolCore protocol_;
 
-  // Dense id-indexed tables (docs/performance.md): object ids are allocated
-  // contiguously, so the lock and open-move lookups on the migration hot
-  // path are flat indexed loads instead of hashes.
-  util::DenseTable<ObjectId, Lock> locks_;
-  std::uint64_t lease_expiries_ = 0;
-  /// Per object: open-move counts indexed by node id value.
-  util::DenseTable<ObjectId, std::vector<int>> open_moves_;
   std::function<void(double)> background_sink_;
   objsys::LocationService* service_ = nullptr;
-  objsys::LocalityTracker* locality_ = nullptr;
-  PolicyCounters policy_counters_;
   trace::TraceLog* trace_ = nullptr;
   fault::FaultInjector* fault_ = nullptr;
   fault::NodeHealth* health_ = nullptr;
-  objsys::BlockId::value_type next_block_ = 0;
   std::uint64_t transfers_ = 0;
   std::uint64_t control_ = 0;
 };

@@ -1,63 +1,46 @@
-// Migration policy interface.
+// Migration policies in the simulator.
 //
 // A policy interprets the move()/end() primitives of a move-block. The
 // paper's continuum (Section 3.3): conventional migration is the aggressive
 // extreme, transient placement the conservative one, and the dynamic
 // policies (comparing the nodes, comparing + reinstantiation) sit between
-// them, trading bookkeeping for (it turns out marginal) gains.
+// them, trading bookkeeping for (it turns out marginal) gains. What each
+// PolicyKind decides is the protocol core's (migration/protocol.hpp); this
+// class charges simulated time around those decisions: the request message
+// to the object, then the transfer it ordered.
 #pragma once
 
 #include <memory>
-#include <string_view>
 
 #include "migration/block.hpp"
 #include "migration/manager.hpp"
+#include "migration/protocol.hpp"
 #include "sim/task.hpp"
 
 namespace omig::migration {
 
-enum class PolicyKind {
-  Sedentary,             ///< baseline: no migration at all
-  Conventional,          ///< move() always migrates (call-by-move semantics)
-  Placement,             ///< transient placement (Section 3.2)
-  CompareNodes,          ///< dynamic: most open move-requests wins (4.3)
-  CompareReinstantiate,  ///< dynamic: additionally migrates on end-requests
-  LoadShare,             ///< beyond-paper: pursues Section 2.2's load-sharing
-                         ///< goal — moves objects to lightly used nodes,
-                         ///< regardless of who is calling them
-  Adaptive,              ///< beyond-paper: migrates toward the EMA-dominant
-                         ///< caller node, gated by a hysteresis band
-                         ///< (docs/policies.md)
-  AdaptiveLoad,          ///< Adaptive plus a per-node load veto: an
-                         ///< overloaded dominant node does not attract moves
-};
-
-[[nodiscard]] std::string_view to_string(PolicyKind kind);
-
-/// Interprets move-block begin/end for one experiment.
+/// Interprets move-block begin/end for one experiment under one kind.
 class MigrationPolicy {
 public:
-  explicit MigrationPolicy(MigrationManager& mgr) : mgr_{&mgr} {}
-  virtual ~MigrationPolicy() = default;
+  MigrationPolicy(PolicyKind kind, MigrationManager& mgr)
+      : kind_{kind}, mgr_{&mgr} {}
   MigrationPolicy(const MigrationPolicy&) = delete;
   MigrationPolicy& operator=(const MigrationPolicy&) = delete;
 
-  [[nodiscard]] virtual PolicyKind kind() const = 0;
+  [[nodiscard]] PolicyKind kind() const { return kind_; }
 
   /// Processes the move()/visit() that opens `blk`: sends the request,
   /// decides at the object, and (maybe) migrates. Completes when the client
   /// may start invoking.
-  virtual sim::Task begin_block(MoveBlock& blk) = 0;
+  sim::Task begin_block(MoveBlock& blk);
 
-  /// Processes the end-request that closes `blk`. Local at the caller for
-  /// the simple policies; may trigger background migrations for the
-  /// reinstantiation policy and the migrate-back of visit().
-  virtual void end_block(MoveBlock& blk) = 0;
+  /// Processes the end-request that closes `blk`. Local at the caller; the
+  /// migrations it triggers (visit() return trips, reinstantiation) run in
+  /// the background.
+  void end_block(MoveBlock& blk);
 
-protected:
-  /// Migrates `blk.moved` back to where the objects came from (visit()).
-  void migrate_back(MoveBlock& blk);
-
+private:
+  PolicyKind kind_;
   MigrationManager* mgr_;
 };
 

@@ -47,7 +47,7 @@ public:
   /// is exactly the underestimation hazard of Section 2.4 — to `node`.
   sim::Task migrate(ObjectId obj, objsys::NodeId node,
                     AllianceId ctx = AllianceId::invalid()) {
-    return mgr_->transfer(mgr_->migration_cluster(obj, ctx), node, nullptr);
+    return mgr_->transfer(mgr_->protocol().cluster(obj, ctx), node, nullptr);
   }
 
   /// migrate(O, O'): collocates O with O' (the "target names another object"

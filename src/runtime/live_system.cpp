@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
-#include <stdexcept>
 #include <thread>
-#include <unordered_set>
 
 #include "obs/families.hpp"
 #include "runtime/serde.hpp"
@@ -17,6 +14,9 @@
 #include "util/assert.hpp"
 
 namespace omig::runtime {
+
+using migration::BlockId;
+using migration::ObjectId;
 
 namespace {
 /// Wall-clock microseconds since `start`, for the latency histograms.
@@ -33,30 +33,39 @@ std::uint64_t now_ms() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+std::size_t checked_node_count(const LiveSystem::Options& options) {
+  const std::size_t count = options.remote_nodes.empty()
+                                ? options.nodes
+                                : options.remote_nodes.size();
+  OMIG_REQUIRE(count >= 1, "need at least one node");
+  return count;
+}
+
+migration::ProtocolOptions protocol_options(
+    const LiveSystem::Options& options) {
+  migration::ProtocolOptions p;
+  p.transitivity = options.a_transitive_attachments
+                       ? migration::AttachTransitivity::ATransitive
+                       : migration::AttachTransitivity::Unrestricted;
+  p.lock_lease = static_cast<double>(options.lock_lease.count());
+  p.hysteresis_band = options.hysteresis_band;
+  p.adaptive_min_weight = options.adaptive_min_weight;
+  p.load_factor = options.load_factor;
+  return p;
+}
+
+bool adaptive(migration::PolicyKind kind) {
+  return kind == migration::PolicyKind::Adaptive ||
+         kind == migration::PolicyKind::AdaptiveLoad;
+}
 }  // namespace
 
-const char* to_string(MovePolicy policy) {
-  switch (policy) {
-    case MovePolicy::Conventional: return "conventional";
-    case MovePolicy::Placement: return "placement";
-    case MovePolicy::Adaptive: return "adaptive";
-    case MovePolicy::AdaptiveLoad: return "adaptive-load";
-  }
-  return "?";
-}
-
-MovePolicy move_policy_from_string(const std::string& name) {
-  if (name == "conventional") return MovePolicy::Conventional;
-  if (name == "placement") return MovePolicy::Placement;
-  if (name == "adaptive") return MovePolicy::Adaptive;
-  if (name == "adaptive-load") return MovePolicy::AdaptiveLoad;
-  throw std::invalid_argument{
-      "unknown move policy '" + name +
-      "' (expected conventional|placement|adaptive|adaptive-load)"};
-}
-
-LiveSystem::LiveSystem(Options options) : options_{std::move(options)} {
-  OMIG_REQUIRE(options_.nodes >= 1 || remote(), "need at least one node");
+LiveSystem::LiveSystem(Options options)
+    : options_{std::move(options)},
+      hosted_(checked_node_count(options_), 0),
+      protocol_{*this, attachments_, hosted_.size(),
+                protocol_options(options_)} {
   OMIG_REQUIRE(options_.max_retries >= 0, "max_retries must be >= 0");
 }
 
@@ -70,8 +79,7 @@ void LiveSystem::register_type(const std::string& type,
 
 void LiveSystem::start() {
   OMIG_REQUIRE(!started_, "system already started");
-  const std::size_t count =
-      remote() ? options_.remote_nodes.size() : options_.nodes;
+  const std::size_t count = node_count();
   for (const fault::CrashEvent& crash : options_.fault_plan.crashes) {
     OMIG_REQUIRE(crash.node < count,
                  "crash schedule names a node outside the system");
@@ -96,10 +104,12 @@ void LiveSystem::start() {
   if (!options_.fault_plan.empty()) {
     injector_ = std::make_unique<fault::FaultInjector>(options_.fault_plan);
   }
-  if (adaptive_policy()) {
+  if (adaptive(options_.policy)) {
     locality_ =
         std::make_unique<objsys::LocalityTracker>(count, options_.ema_decay);
-    policy_obs_ = obs::policy_metrics(to_string(options_.policy));
+    protocol_.set_locality(locality_.get());
+    policy_obs_ =
+        obs::policy_metrics(std::string{migration::to_string(options_.policy)});
   }
 
   // All inter-node traffic goes through one transport; faults inject at
@@ -191,12 +201,9 @@ void LiveSystem::recover_from_store() {
     if (node >= node_count()) continue;
     {
       std::lock_guard lock{mutex_};
-      Meta meta;
-      meta.node = node;
-      meta.checkpoint = *state;
-      meta.moves = obj.cursor;
-      meta.durable = true;
-      directory_[name] = std::move(meta);
+      Meta& m = meta(add_locked(name, node, *state));
+      m.moves = obj.cursor;
+      m.durable = true;
     }
     if (install_with_retry(node, name, *state, kExternalSender)) {
       replayed_objects_.fetch_add(1, std::memory_order_relaxed);
@@ -287,6 +294,25 @@ std::optional<T> LiveSystem::await_reply(std::future<T>& reply) {
   }
 }
 
+template <class T, class Send>
+std::optional<T> LiveSystem::deliver(Send send, bool stop_on_rejection) {
+  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
+    if (attempt > 0) {
+      retries_.fetch_add(1, std::memory_order_relaxed);
+      obs::runtime_metrics().retries->inc();
+      backoff(attempt);
+    }
+    std::future<T> reply;
+    if (!sent_ok(send(reply))) {
+      // The node is down; it may restart within the retry budget.
+      if (stop_on_rejection) break;
+      continue;
+    }
+    if (std::optional<T> got = await_reply(reply)) return got;
+  }
+  return std::nullopt;
+}
+
 void LiveSystem::backoff(int attempt) {
   if (options_.retry_backoff.count() <= 0) return;
   const int shift = std::min(attempt - 1, 6);
@@ -301,25 +327,52 @@ bool LiveSystem::faults_active() const {
 bool LiveSystem::install_with_retry(std::size_t node, const std::string& name,
                                     const ObjectState& state,
                                     std::size_t from) {
-  const std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   transport::WireInstall msg;
-  msg.seq = seq;
+  msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   msg.name = name;
   msg.state = state;
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      obs::runtime_metrics().retries->inc();
-      backoff(attempt);
-    }
-    std::future<bool> done;
-    if (!sent_ok(transport_->send_install(from, node, msg, done))) {
-      continue;  // node is down; it may restart within the retry budget
-    }
-    auto ok = await_reply(done);
-    if (ok.has_value()) return *ok;
-  }
-  return false;
+  return deliver<bool>([&](std::future<bool>& reply) {
+           return transport_->send_install(from, node, msg, reply);
+         }).value_or(false);
+}
+
+double LiveSystem::now() const {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - epoch_)
+      .count();
+}
+
+void LiveSystem::record(trace::EventKind kind, ObjectId object,
+                        objsys::NodeId node, BlockId block) {
+  if (options_.trace == nullptr) return;
+  // Logical time: transport backends interleave wall-clock time
+  // differently, but the directory orders protocol events identically.
+  options_.trace->record(trace::Event{static_cast<double>(trace_clock_++),
+                                      kind, object, node, block});
+}
+
+ObjectId LiveSystem::find_locked(const std::string& name) const {
+  const auto it = ids_.find(name);
+  return it == ids_.end() ? ObjectId::invalid() : it->second;
+}
+
+ObjectId LiveSystem::add_locked(const std::string& name, std::size_t node,
+                                ObjectState checkpoint) {
+  const ObjectId id{static_cast<ObjectId::value_type>(objects_.size())};
+  Meta& m = objects_.emplace_back();
+  m.name = name;
+  m.node = node;
+  m.checkpoint = std::move(checkpoint);
+  ids_[name] = id;
+  ++hosted_[node];
+  return id;
+}
+
+migration::AllianceId LiveSystem::alliance_locked(const std::string& name) {
+  if (name.empty()) return migration::AllianceId::invalid();
+  const auto next = static_cast<migration::AllianceId::value_type>(
+      alliances_.size());
+  return alliances_.try_emplace(name, next).first->second;
 }
 
 bool LiveSystem::create(const std::string& name, ObjectState state,
@@ -327,19 +380,24 @@ bool LiveSystem::create(const std::string& name, ObjectState state,
   OMIG_REQUIRE(started_, "start() the system first");
   OMIG_REQUIRE(node < node_count(), "node index out of range");
   if (!factories_.contains(state.type)) return false;
+  ObjectId id;
   {
     std::lock_guard lock{mutex_};
-    if (directory_.contains(name)) return false;
-    Meta meta;
-    meta.node = node;
-    meta.checkpoint = state;  // creation-time recovery checkpoint
-    directory_[name] = std::move(meta);
-    trace_locked(trace::EventKind::ReplicaCreated, name, node);
+    if (ids_.contains(name)) return false;
+    id = add_locked(name, node, state);  // creation-time recovery checkpoint
+    record(trace::EventKind::ReplicaCreated, id, node_id(node),
+           BlockId::invalid());
   }
   const bool ok = install_with_retry(node, name, state, kExternalSender);
   if (!ok) {
+    // Release the name; the dead entry stays pinned so no cluster that
+    // picked it up meanwhile ever tries to move it.
     std::lock_guard lock{mutex_};
-    directory_.erase(name);
+    Meta& m = meta(id);
+    ids_.erase(name);
+    --hosted_[m.node];
+    m.node = kGone;
+    m.fixed = true;
     return false;
   }
   // Seed the shard owner's slice (and a self-entry at the host, so a
@@ -351,8 +409,7 @@ bool LiveSystem::create(const std::string& name, ObjectState state,
     const auto outcome = store_->checkpoint(name, node, 0, encode(state));
     if (outcome.durable) {
       std::lock_guard lock{mutex_};
-      auto it = directory_.find(name);
-      if (it != directory_.end()) it->second.durable = true;
+      meta(id).durable = true;
     }
   }
   return true;
@@ -361,9 +418,9 @@ bool LiveSystem::create(const std::string& name, ObjectState state,
 std::optional<std::size_t> LiveSystem::location(
     const std::string& name) const {
   std::lock_guard lock{mutex_};
-  auto it = directory_.find(name);
-  if (it == directory_.end()) return std::nullopt;
-  return it->second.node;
+  const ObjectId id = find_locked(name);
+  if (!id.valid()) return std::nullopt;
+  return meta(id).node;
 }
 
 InvokeResult LiveSystem::invoke(const std::string& object,
@@ -400,22 +457,16 @@ InvokeResult LiveSystem::invoke_impl(std::optional<std::size_t> from,
     std::size_t node;
     {
       std::unique_lock lock{mutex_};
-      auto it = directory_.find(object);
-      if (it == directory_.end()) {
-        return InvokeResult{false, "unknown object: " + object};
-      }
+      const ObjectId id = find_locked(object);
+      if (!id.valid()) return InvokeResult{false, "unknown object: " + object};
       // "The call is blocked until the object is operational once again."
-      transit_cv_.wait(lock, [&] {
-        auto cur = directory_.find(object);
-        return cur == directory_.end() || !cur->second.in_transit;
-      });
-      it = directory_.find(object);
-      if (it == directory_.end()) {
-        return InvokeResult{false, "unknown object: " + object};
-      }
-      node = it->second.node;
-      if (!locality_recorded && from.has_value()) {
-        record_locality_locked(object, *from);
+      const Meta& m = meta(id);
+      transit_cv_.wait(lock, [&] { return !m.in_transit; });
+      node = m.node;
+      if (!locality_recorded && locality_ != nullptr && from.has_value() &&
+          *from < node_count()) {
+        locality_->record(id, node_id(*from));
+        policy_obs_->ema_updates->inc();
         locality_recorded = true;
       }
     }
@@ -441,20 +492,11 @@ InvokeResult LiveSystem::invoke_impl(std::optional<std::size_t> from,
     msg.object = object;
     msg.method = method;
     msg.argument = argument;
-    std::optional<InvokeResult> result;
-    for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-      if (attempt > 0) {
-        retries_.fetch_add(1, std::memory_order_relaxed);
-        backoff(attempt);
-      }
-      std::future<InvokeResult> reply;
-      if (!sent_ok(transport_->send_invoke(from.value_or(kExternalSender),
-                                           node, msg, reply))) {
-        continue;  // node is down; it may restart within the retry budget
-      }
-      result = await_reply(reply);
-      if (result.has_value()) break;
-    }
+    const std::optional<InvokeResult> result =
+        deliver<InvokeResult>([&](std::future<InvokeResult>& reply) {
+          return transport_->send_invoke(from.value_or(kExternalSender), node,
+                                         msg, reply);
+        });
     if (!result.has_value()) {
       return InvokeResult{
           false, "node unreachable: " + std::to_string(node) + " (" + object +
@@ -485,123 +527,101 @@ InvokeResult LiveSystem::invoke_impl(std::optional<std::size_t> from,
 
 void LiveSystem::fix(const std::string& name) {
   std::lock_guard lock{mutex_};
-  auto it = directory_.find(name);
-  OMIG_REQUIRE(it != directory_.end(), "fix: unknown object");
-  it->second.fixed = true;
-  trace_locked(trace::EventKind::Fix, name, kExternalSender);
+  const ObjectId id = find_locked(name);
+  OMIG_REQUIRE(id.valid(), "fix: unknown object");
+  meta(id).fixed = true;
+  record(trace::EventKind::Fix, id, objsys::NodeId::invalid(),
+         BlockId::invalid());
 }
 
 void LiveSystem::unfix(const std::string& name) {
   std::lock_guard lock{mutex_};
-  auto it = directory_.find(name);
-  OMIG_REQUIRE(it != directory_.end(), "unfix: unknown object");
-  it->second.fixed = false;
-  trace_locked(trace::EventKind::Unfix, name, kExternalSender);
+  const ObjectId id = find_locked(name);
+  OMIG_REQUIRE(id.valid(), "unfix: unknown object");
+  meta(id).fixed = false;
+  record(trace::EventKind::Unfix, id, objsys::NodeId::invalid(),
+         BlockId::invalid());
 }
 
 bool LiveSystem::is_fixed(const std::string& name) const {
   std::lock_guard lock{mutex_};
-  auto it = directory_.find(name);
-  OMIG_REQUIRE(it != directory_.end(), "is_fixed: unknown object");
-  return it->second.fixed;
+  const ObjectId id = find_locked(name);
+  OMIG_REQUIRE(id.valid(), "is_fixed: unknown object");
+  return meta(id).fixed;
 }
 
 bool LiveSystem::attach(const std::string& a, const std::string& b,
                         const std::string& alliance) {
-  if (a == b) return false;
   std::lock_guard lock{mutex_};
-  if (!directory_.contains(a) || !directory_.contains(b)) return false;
-  auto& ea = attachments_[a];
-  if (std::any_of(ea.begin(), ea.end(), [&](const AttachEdge& e) {
-        return e.peer == b && e.alliance == alliance;
-      })) {
-    return false;
-  }
-  ea.push_back(AttachEdge{b, alliance});
-  attachments_[b].push_back(AttachEdge{a, alliance});
-  return true;
+  const ObjectId ia = find_locked(a);
+  const ObjectId ib = find_locked(b);
+  if (!ia.valid() || !ib.valid()) return false;
+  return attachments_.attach(ia, ib, alliance_locked(alliance));
 }
 
 bool LiveSystem::detach(const std::string& a, const std::string& b) {
   std::lock_guard lock{mutex_};
-  auto erase = [&](const std::string& from, const std::string& peer) {
-    auto it = attachments_.find(from);
-    if (it == attachments_.end()) return false;
-    const auto before = it->second.size();
-    std::erase_if(it->second,
-                  [&](const AttachEdge& e) { return e.peer == peer; });
-    return it->second.size() != before;
-  };
-  const bool removed = erase(a, b);
-  erase(b, a);
-  return removed;
+  const ObjectId ia = find_locked(a);
+  const ObjectId ib = find_locked(b);
+  if (!ia.valid() || !ib.valid()) return false;
+  return attachments_.detach(ia, ib);
 }
 
-std::vector<std::string> LiveSystem::closure_locked(
-    const std::string& object, const std::string& alliance) const {
-  const bool restrict = options_.a_transitive_attachments && !alliance.empty();
-  std::vector<std::string> out;
-  std::unordered_set<std::string> seen{object};
-  std::deque<std::string> frontier{object};
-  while (!frontier.empty()) {
-    std::string cur = frontier.front();
-    frontier.pop_front();
-    out.push_back(cur);
-    auto it = attachments_.find(cur);
-    if (it == attachments_.end()) continue;
-    for (const AttachEdge& e : it->second) {
-      if (restrict && e.alliance != alliance) continue;
-      if (seen.insert(e.peer).second) frontier.push_back(e.peer);
+std::vector<ObjectId> LiveSystem::claim_locked(
+    std::unique_lock<std::mutex>& lock, const std::vector<ObjectId>& objects,
+    std::size_t dest, migration::MoveBlock* blk) {
+  // Wait for the whole cluster at once, as the simulator's transfer does:
+  // claiming members one by one while waiting on the rest could deadlock
+  // against another claimer doing the same in the other order.
+  transit_cv_.wait(lock, [&] {
+    return std::none_of(objects.begin(), objects.end(),
+                        [&](ObjectId o) { return meta(o).in_transit; });
+  });
+  std::vector<ObjectId> claimed;
+  for (const ObjectId o : objects) {
+    Meta& m = meta(o);
+    if (m.fixed || m.node == dest) continue;
+    m.in_transit = true;
+    record(trace::EventKind::MigrationStart, o, node_id(dest),
+           blk != nullptr ? blk->id : BlockId::invalid());
+    if (blk != nullptr) {
+      blk->moved.push_back(o);
+      blk->origins_of_moved.push_back(node_id(m.node));
     }
+    claimed.push_back(o);
   }
-  return out;
+  return claimed;
 }
 
-std::size_t LiveSystem::relocate(const std::vector<std::string>& objects,
-                                 std::size_t dest) {
-  std::size_t moved = 0;
-  for (const std::string& name : objects) {
+void LiveSystem::relocate(const std::vector<ObjectId>& objects,
+                          std::size_t dest, BlockId block) {
+  for (const ObjectId id : objects) {
     const auto wall_start = std::chrono::steady_clock::now();
     std::size_t src;
+    std::string name;
     {
       std::lock_guard lock{mutex_};
-      src = directory_.at(name).node;
-    }
-    if (src == dest) {
-      std::lock_guard lock{mutex_};
-      directory_.at(name).in_transit = false;
-      trace_locked(trace::EventKind::MigrationEnd, name, dest);
-      continue;
+      src = meta(id).node;
+      name = meta(id).name;
     }
 
     // Pull the state off the source; the request travels dest -> src. A
     // dead source ends the attempts early — recovery takes over below.
-    std::optional<ObjectState> state;
     transport::WireEvict evict;
     evict.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
     evict.name = name;
-    for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-      if (attempt > 0) {
-        retries_.fetch_add(1, std::memory_order_relaxed);
-        backoff(attempt);
-      }
-      std::future<ObjectState> state_future;
-      if (!sent_ok(transport_->send_evict(dest, src, evict, state_future))) {
-        break;
-      }
-      auto got = await_reply(state_future);
-      if (got.has_value()) {
-        state = std::move(*got);
-        break;
-      }
-    }
+    std::optional<ObjectState> state = deliver<ObjectState>(
+        [&](std::future<ObjectState>& reply) {
+          return transport_->send_evict(dest, src, evict, reply);
+        },
+        /*stop_on_rejection=*/true);
 
     if (!state.has_value() || state->type.empty()) {
       // The source is unreachable or lost the object with a crash: recover
       // the last checkpoint. Degraded mode — updates since the checkpoint
       // are gone, but the object itself survives (docs/fault_model.md).
       std::lock_guard lock{mutex_};
-      state = directory_.at(name).checkpoint;
+      state = meta(id).checkpoint;
       recoveries_.fetch_add(1, std::memory_order_relaxed);
       obs::runtime_metrics().recoveries->inc();
     }
@@ -619,7 +639,7 @@ std::size_t LiveSystem::relocate(const std::vector<std::string>& objects,
     {
       // The state now in flight becomes the object's recovery checkpoint.
       std::lock_guard lock{mutex_};
-      directory_.at(name).checkpoint = *decoded;
+      meta(id).checkpoint = *decoded;
     }
 
     std::size_t target = dest;
@@ -634,12 +654,17 @@ std::size_t LiveSystem::relocate(const std::vector<std::string>& objects,
     std::uint64_t cursor = 0;
     {
       std::lock_guard lock{mutex_};
-      Meta& meta = directory_.at(name);
-      meta.node = target;
-      meta.in_transit = false;
-      if (target != src) cursor = ++meta.moves;
-      trace_locked(trace::EventKind::MigrationEnd, name, target);
+      Meta& m = meta(id);
+      m.node = target;
+      m.in_transit = false;
+      if (target != src) {
+        cursor = ++m.moves;
+        --hosted_[src];
+        ++hosted_[target];
+      }
+      record(trace::EventKind::MigrationEnd, id, node_id(target), block);
     }
+    transit_cv_.notify_all();  // calls blocked on this object may proceed
     if (sharded() && target != src) dir_publish_move(name, src, target);
     if (store_ != nullptr && target != src) {
       // Log the location change, then checkpoint the in-flight state under
@@ -649,270 +674,123 @@ std::size_t LiveSystem::relocate(const std::vector<std::string>& objects,
       const auto outcome =
           store_->checkpoint(name, target, cursor, encode(*decoded));
       std::lock_guard lock{mutex_};
-      auto it = directory_.find(name);
-      if (it != directory_.end()) it->second.durable = outcome.durable;
+      meta(id).durable = outcome.durable;
     }
     if (target == dest) {
       migrations_.fetch_add(1, std::memory_order_relaxed);
       obs::runtime_metrics().migrations->inc();
       obs::runtime_metrics().migration_us->record(us_since(wall_start));
-      ++moved;
     }
   }
-  transit_cv_.notify_all();
-  return moved;
 }
 
 bool LiveSystem::migrate(const std::string& object, std::size_t dest,
                          const std::string& alliance) {
   OMIG_REQUIRE(started_, "start() the system first");
   OMIG_REQUIRE(dest < node_count(), "node index out of range");
-  std::vector<std::string> to_move;
+  std::vector<ObjectId> claimed;
   {
     std::unique_lock lock{mutex_};
-    if (!directory_.contains(object)) return false;
-    for (const std::string& name : closure_locked(object, alliance)) {
-      Meta& meta = directory_.at(name);
-      // Wait out concurrent transits of this member, then claim it.
-      transit_cv_.wait(lock,
-                       [&] { return !directory_.at(name).in_transit; });
-      if (meta.fixed) continue;
-      meta.in_transit = true;
-      trace_locked(trace::EventKind::MigrationStart, name, dest);
-      to_move.push_back(name);
-    }
+    const ObjectId id = find_locked(object);
+    if (!id.valid()) return false;
+    claimed = claim_locked(
+        lock, protocol_.cluster(id, alliance_locked(alliance)), dest, nullptr);
   }
-  relocate(to_move, dest);
+  relocate(claimed, dest, BlockId::invalid());
   return true;
-}
-
-LiveSystem::MoveToken LiveSystem::visit(const std::string& object,
-                                        std::size_t dest,
-                                        const std::string& alliance) {
-  MoveToken token = move(object, dest, alliance);
-  token.visit = true;
-  return token;
 }
 
 LiveSystem::MoveToken LiveSystem::move(const std::string& object,
                                        std::size_t dest,
                                        const std::string& alliance) {
+  return open_block(object, dest, alliance, /*visit=*/false);
+}
+
+LiveSystem::MoveToken LiveSystem::visit(const std::string& object,
+                                        std::size_t dest,
+                                        const std::string& alliance) {
+  return open_block(object, dest, alliance, /*visit=*/true);
+}
+
+LiveSystem::MoveToken LiveSystem::open_block(const std::string& object,
+                                             std::size_t dest,
+                                             const std::string& alliance,
+                                             bool visit) {
   OMIG_REQUIRE(started_, "start() the system first");
   OMIG_REQUIRE(dest < node_count(), "node index out of range");
   MoveToken token;
-  std::vector<std::string> to_move;
+  migration::Relocation decided;
+  std::vector<ObjectId> claimed;
   {
     std::unique_lock lock{mutex_};
-    auto it = directory_.find(object);
-    if (it == directory_.end()) return token;  // not granted
-    token.id = next_token_++;
-    trace_locked(trace::EventKind::BlockBegin, object, dest, token.id);
-
-    // The adaptive kinds treat `dest` as advisory: the closure relocates
-    // to the EMA's choice (the current host when the telemetry says stay,
-    // which relocate() resolves as a no-op), under placement locking.
-    std::size_t target = dest;
-
-    if (options_.policy != MovePolicy::Conventional) {
-      // A lock whose lease ran out belongs to a block that died (node
-      // crash) or stalled past its budget: release everything it holds —
-      // the objects stay in place — and let this move proceed.
-      if (lease_expired(it->second)) expire_lease(it->second.locked_by);
-      // Transient placement: a conflicting unfinished move refuses us.
-      if (it->second.locked_by != 0 || it->second.fixed) {
-        refused_.fetch_add(1, std::memory_order_relaxed);
-        obs::runtime_metrics().refused_moves->inc();
-        trace_locked(trace::EventKind::MoveRefused, object, dest, token.id);
-        return token;  // granted = false: caller invokes remotely
-      }
-      if (adaptive_policy()) {
-        target = adaptive_target_locked(object, alliance);
-      }
-      const auto lease_deadline =
-          std::chrono::steady_clock::now() + options_.lock_lease;
-      for (const std::string& name : closure_locked(object, alliance)) {
-        Meta& meta = directory_.at(name);
-        if (lease_expired(meta)) expire_lease(meta.locked_by);
-        if (meta.locked_by != 0) continue;  // partial move
-        meta.locked_by = token.id;
-        meta.lease_expiry = lease_deadline;
-        obs::runtime_metrics().lease_acquisitions->inc();
-        if (store_ != nullptr) {
-          // Audit record, unsynced: lease grants ride on the next synced
-          // append (recovery never restores leases — they expire).
-          (void)store_->lease(name, token.id);
-        }
-        token.locked.push_back(name);
-        trace_locked(trace::EventKind::Lock, name, target, token.id);
-        transit_cv_.wait(lock,
-                         [&] { return !directory_.at(name).in_transit; });
-        if (meta.fixed) continue;
-        meta.in_transit = true;
-        trace_locked(trace::EventKind::MigrationStart, name, target,
-                     token.id);
-        to_move.push_back(name);
-      }
-    } else {
-      // Conventional: always migrate, no locks.
-      for (const std::string& name : closure_locked(object, alliance)) {
-        Meta& meta = directory_.at(name);
-        transit_cv_.wait(lock,
-                         [&] { return !directory_.at(name).in_transit; });
-        if (meta.fixed) continue;
-        meta.in_transit = true;
-        trace_locked(trace::EventKind::MigrationStart, name, dest, token.id);
-        to_move.push_back(name);
-      }
-    }
-    token.granted = true;
-    for (const std::string& name : to_move) {
-      token.origins.emplace_back(name, directory_.at(name).node);
-    }
-    dest = target;
+    const ObjectId id = find_locked(object);
+    if (!id.valid()) return token;  // no block, not granted
+    token = protocol_.new_block(node_id(dest), id, alliance_locked(alliance),
+                                visit);
+    record(trace::EventKind::BlockBegin, id, node_id(dest), token.id);
+    const std::uint64_t expiries = protocol_.lease_expiries();
+    const migration::PolicyCounters before = protocol_.counters();
+    decided = protocol_.decide_move(options_.policy, token);
+    mirror_decision_locked(token, expiries, before);
+    if (!decided.dest.valid()) return token;
+    claimed =
+        claim_locked(lock, decided.objects, decided.dest.value(), &token);
   }
-  relocate(to_move, dest);
+  relocate(claimed, decided.dest.value(), token.id);
   return token;
 }
 
-void LiveSystem::record_locality_locked(const std::string& object,
-                                        std::size_t from) {
-  if (locality_ == nullptr || from >= node_count()) return;
-  auto [it, inserted] = locality_ids_.try_emplace(
-      object, static_cast<std::uint32_t>(locality_ids_.size()));
-  locality_->record(objsys::ObjectId{it->second},
-                    objsys::NodeId{static_cast<std::uint32_t>(from)});
-  ema_updates_.fetch_add(1, std::memory_order_relaxed);
-  policy_obs_->ema_updates->inc();
-}
-
-std::size_t LiveSystem::adaptive_target_locked(const std::string& object,
-                                               const std::string& alliance) {
-  const Meta& meta = directory_.at(object);
-  const std::size_t host = meta.node;
-  const auto id_it = locality_ids_.find(object);
-  if (id_it == locality_ids_.end()) return host;  // never invoked: no data
-  const objsys::LocalityEstimate est = locality_->estimate(
-      objsys::ObjectId{id_it->second},
-      objsys::NodeId{static_cast<std::uint32_t>(host)});
-  if (!est.dominant.valid() || est.dominant.value() == host) return host;
-  if (est.weight < options_.adaptive_min_weight ||
-      est.share - est.host_share < options_.hysteresis_band) {
-    policy_suppressed_hysteresis_.fetch_add(1, std::memory_order_relaxed);
-    policy_obs_->suppressed_hysteresis->inc();
-    return host;
+void LiveSystem::mirror_decision_locked(
+    const MoveToken& token, std::uint64_t expiries,
+    const migration::PolicyCounters& before) {
+  obs::RuntimeMetrics& metrics = obs::runtime_metrics();
+  if (!token.granted) {
+    refused_.fetch_add(1, std::memory_order_relaxed);
+    metrics.refused_moves->inc();
   }
-  const std::size_t dest = est.dominant.value();
-  if (options_.policy == MovePolicy::AdaptiveLoad) {
-    std::size_t at_dest = 0;
-    for (const auto& [name, m] : directory_) at_dest += m.node == dest;
-    const std::size_t cluster = closure_locked(object, alliance).size();
-    // Mean hosted objects per node, floored at 1 — same sparse-population
-    // rule as the simulator policy (src/migration/policy_adaptive.cpp).
-    const double mean =
-        std::max(1.0, static_cast<double>(directory_.size()) /
-                          static_cast<double>(node_count()));
-    if (static_cast<double>(at_dest + cluster) >
-        options_.load_factor * mean) {
-      policy_suppressed_load_.fetch_add(1, std::memory_order_relaxed);
-      policy_obs_->suppressed_load->inc();
-      return host;
+  metrics.lease_expiries->inc(protocol_.lease_expiries() - expiries);
+  metrics.lease_acquisitions->inc(token.locked.size());
+  if (store_ != nullptr) {
+    // Audit records, unsynced: lease grants ride on the next synced append
+    // (recovery never restores leases — they expire).
+    for (const ObjectId o : token.locked) {
+      (void)store_->lease(meta(o).name, token.id.value());
     }
   }
-  auto [move_it, first] = last_policy_move_.try_emplace(object, host, dest);
-  if (!first) {
-    if (move_it->second.first == dest && move_it->second.second == host) {
-      policy_reversals_.fetch_add(1, std::memory_order_relaxed);
-      policy_obs_->pingpong_reversals->inc();
-    }
-    move_it->second = {host, dest};
+  if (policy_obs_.has_value()) {
+    const migration::PolicyCounters& after = protocol_.counters();
+    policy_obs_->migrations_triggered->inc(after.migrations_triggered -
+                                           before.migrations_triggered);
+    policy_obs_->suppressed_hysteresis->inc(after.suppressed_hysteresis -
+                                            before.suppressed_hysteresis);
+    policy_obs_->suppressed_load->inc(after.suppressed_load -
+                                      before.suppressed_load);
+    policy_obs_->pingpong_reversals->inc(after.pingpong_reversals -
+                                         before.pingpong_reversals);
   }
-  policy_migrations_.fetch_add(1, std::memory_order_relaxed);
-  policy_obs_->migrations_triggered->inc();
-  return dest;
 }
 
 void LiveSystem::end(MoveToken& token) {
-  if (token.id == 0) return;
+  if (!token.id.valid()) return;
+  std::vector<migration::Relocation> after;
   {
     std::lock_guard lock{mutex_};
-    for (const std::string& name : token.locked) {
-      auto it = directory_.find(name);
-      // locked_by may no longer be ours: the lease may have expired and
-      // another block taken over — only release what we still hold.
-      if (it != directory_.end() && it->second.locked_by == token.id) {
-        it->second.locked_by = 0;
-        trace_locked(trace::EventKind::Unlock, name, kExternalSender,
-                     token.id);
-      }
-    }
-    token.locked.clear();
-    trace_locked(trace::EventKind::BlockEnd, "", kExternalSender, token.id);
+    record(trace::EventKind::BlockEnd, token.target, token.origin, token.id);
+    after = protocol_.decide_end(options_.policy, token);
   }
-  if (token.visit && token.granted) {
-    // visit(): the objects migrate back to where they came from.
-    for (const auto& [name, origin] : token.origins) {
-      std::vector<std::string> one{name};
+  token.id = BlockId::invalid();
+  // Background migrations (nobody waits on them), one object at a time so
+  // each stays invocable where it is until its own turn comes.
+  for (const migration::Relocation& r : after) {
+    for (const ObjectId o : r.objects) {
+      std::vector<ObjectId> claimed;
       {
         std::unique_lock lock{mutex_};
-        auto it = directory_.find(name);
-        if (it == directory_.end()) continue;
-        transit_cv_.wait(lock,
-                         [&] { return !directory_.at(name).in_transit; });
-        if (it->second.fixed || it->second.node == origin) continue;
-        it->second.in_transit = true;
-        trace_locked(trace::EventKind::MigrationStart, name, origin,
-                     token.id);
+        claimed = claim_locked(lock, {o}, r.dest.value(), nullptr);
       }
-      relocate(one, origin);
-    }
-    token.origins.clear();
-  }
-}
-
-bool LiveSystem::lease_expired(const Meta& meta) const {
-  return options_.lock_lease.count() > 0 && meta.locked_by != 0 &&
-         std::chrono::steady_clock::now() >= meta.lease_expiry;
-}
-
-void LiveSystem::expire_lease(std::uint64_t token) {
-  // The whole block's lease expires at once: every lock it holds is
-  // released and the objects stay where they are ("released in place").
-  for (auto& [name, meta] : directory_) {
-    if (meta.locked_by == token) {
-      meta.locked_by = 0;
-      trace_locked(trace::EventKind::Unlock, name, kExternalSender, token);
+      relocate(claimed, r.dest.value(), BlockId::invalid());
     }
   }
-  lease_expiries_.fetch_add(1, std::memory_order_relaxed);
-  obs::runtime_metrics().lease_expiries->inc();
-}
-
-void LiveSystem::trace_locked(trace::EventKind kind,
-                              const std::string& object, std::size_t node,
-                              std::uint64_t block) {
-  if (options_.trace == nullptr) return;
-  trace::Event event;
-  // Logical time: transport backends interleave wall-clock time
-  // differently, but the directory orders protocol events identically.
-  event.time = static_cast<double>(trace_clock_++);
-  event.kind = kind;
-  if (!object.empty()) {
-    event.object = objsys::ObjectId{
-        static_cast<std::uint32_t>(object_trace_id_locked(object))};
-  }
-  if (node < node_count()) {
-    event.node = objsys::NodeId{static_cast<std::uint32_t>(node)};
-  }
-  if (block != 0) {
-    event.block = objsys::BlockId{static_cast<std::uint32_t>(block)};
-  }
-  options_.trace->record(event);
-}
-
-std::uint64_t LiveSystem::object_trace_id_locked(const std::string& name) {
-  const auto [it, inserted] = object_ids_.try_emplace(name, next_object_id_);
-  if (inserted) ++next_object_id_;
-  return it->second;
 }
 
 void LiveSystem::crash_node(std::size_t node) {
@@ -964,9 +842,9 @@ void LiveSystem::restart_node(std::size_t node) {
   {
     std::lock_guard lock{mutex_};
     node_down_[node] = 0;
-    for (const auto& [name, meta] : directory_) {
-      if (meta.node == node && !meta.in_transit) {
-        to_restore.push_back({name, meta.checkpoint, meta.durable});
+    for (const Meta& m : objects_) {
+      if (m.node == node && !m.in_transit) {
+        to_restore.push_back({m.name, m.checkpoint, m.durable});
       }
     }
   }
@@ -1008,20 +886,13 @@ bool LiveSystem::dir_update(std::size_t target, const std::string& name,
   msg.name = name;
   msg.node = static_cast<std::uint64_t>(node);
   msg.invalidate = invalidate;
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      backoff(attempt);
-    }
-    std::future<DirAck> done;
-    if (!sent_ok(transport_->send_dir_update(kExternalSender, target, msg,
-                                             done))) {
-      continue;  // target is down; restart reconciliation re-seeds it
-    }
-    auto ack = await_reply(done);
-    if (ack.has_value()) return ack->ok;
-  }
-  return false;
+  // An unreachable target stays stale; restart reconciliation re-seeds it.
+  const std::optional<DirAck> ack =
+      deliver<DirAck>([&](std::future<DirAck>& reply) {
+        return transport_->send_dir_update(kExternalSender, target, msg,
+                                           reply);
+      });
+  return ack.has_value() && ack->ok;
 }
 
 std::optional<DirReply> LiveSystem::dir_lookup(std::size_t from,
@@ -1030,19 +901,9 @@ std::optional<DirReply> LiveSystem::dir_lookup(std::size_t from,
   transport::WireDirLookup msg;
   msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   msg.name = name;
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      backoff(attempt);
-    }
-    std::future<DirReply> reply;
-    if (!sent_ok(transport_->send_dir_lookup(from, target, msg, reply))) {
-      continue;
-    }
-    auto got = await_reply(reply);
-    if (got.has_value()) return got;
-  }
-  return std::nullopt;
+  return deliver<DirReply>([&](std::future<DirReply>& reply) {
+    return transport_->send_dir_lookup(from, target, msg, reply);
+  });
 }
 
 std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,
@@ -1124,8 +985,8 @@ std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,
   std::size_t node = owner;
   {
     std::lock_guard lock{mutex_};
-    auto it = directory_.find(object);
-    if (it != directory_.end()) node = it->second.node;
+    const ObjectId id = find_locked(object);
+    if (id.valid()) node = meta(id).node;
   }
   return finish(node);
 }
@@ -1152,11 +1013,12 @@ void LiveSystem::dir_reseed_node(std::size_t node) {
   std::vector<std::pair<std::string, std::size_t>> slice;
   {
     std::lock_guard lock{mutex_};
-    for (const auto& [name, meta] : directory_) {
-      if (shard_owner(shard_of(name)) == node) {
-        slice.emplace_back(name, meta.node);
-      } else if (meta.node == node && !meta.in_transit) {
-        slice.emplace_back(name, node);  // self-entry for a reinstall
+    for (const Meta& m : objects_) {
+      if (m.node == kGone) continue;
+      if (shard_owner(shard_of(m.name)) == node) {
+        slice.emplace_back(m.name, m.node);
+      } else if (m.node == node && !m.in_transit) {
+        slice.emplace_back(m.name, node);  // self-entry for a reinstall
       }
     }
   }
@@ -1188,22 +1050,18 @@ std::uint64_t LiveSystem::invocations() const { return invocations_.load(); }
 std::uint64_t LiveSystem::remote_invocations() const { return remote_.load(); }
 std::uint64_t LiveSystem::migrations() const { return migrations_.load(); }
 std::uint64_t LiveSystem::refused_moves() const { return refused_.load(); }
-std::uint64_t LiveSystem::policy_migrations() const {
-  return policy_migrations_.load();
+migration::PolicyCounters LiveSystem::policy_counters() const {
+  std::lock_guard lock{mutex_};
+  return protocol_.counters();
 }
-std::uint64_t LiveSystem::policy_suppressed_hysteresis() const {
-  return policy_suppressed_hysteresis_.load();
+std::uint64_t LiveSystem::ema_updates() const {
+  std::lock_guard lock{mutex_};
+  return locality_ != nullptr ? locality_->updates() : 0;
 }
-std::uint64_t LiveSystem::policy_suppressed_load() const {
-  return policy_suppressed_load_.load();
-}
-std::uint64_t LiveSystem::policy_reversals() const {
-  return policy_reversals_.load();
-}
-std::uint64_t LiveSystem::ema_updates() const { return ema_updates_.load(); }
 std::uint64_t LiveSystem::retries() const { return retries_.load(); }
 std::uint64_t LiveSystem::lease_expiries() const {
-  return lease_expiries_.load();
+  std::lock_guard lock{mutex_};
+  return protocol_.lease_expiries();
 }
 std::uint64_t LiveSystem::crashes() const { return crashes_.load(); }
 std::uint64_t LiveSystem::restarts() const { return restarts_.load(); }

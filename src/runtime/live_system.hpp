@@ -2,10 +2,11 @@
 //
 // Each node is a thread with a mailbox; objects are property bags with a
 // method table, linearised for transfer exactly as the proxies of Section
-// 3.1 linearise calls. The system layer implements the directory, the
-// fix/attach primitives, raw migration, and move/end blocks under either
-// conventional or transient-placement semantics — so the paper's conflict
-// scenarios can be reproduced outside the simulator.
+// 3.1 linearise calls. The system layer keeps the directory and carries
+// out the placement protocol — the same migration::ProtocolCore the
+// simulator drives, so every PolicyKind refuses, locks and migrates here
+// exactly as it does there — and the paper's conflict scenarios can be
+// reproduced outside the simulator.
 //
 // All inter-node traffic goes through a transport::Transport
 // (docs/transport.md). The default InProc backend delivers straight into
@@ -31,7 +32,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -42,6 +43,7 @@
 
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
+#include "migration/protocol.hpp"
 #include "obs/families.hpp"
 #include "objsys/locality.hpp"
 #include "objsys/location_cache.hpp"
@@ -77,24 +79,7 @@ enum class TransportKind : std::uint8_t {
              ///< net::EventLoop shared by the client side and servers
 };
 
-/// Placement policy governing move()/visit() blocks (docs/policies.md).
-/// Conventional and Placement are the paper's pair; the adaptive kinds
-/// are the feedback-driven re-judgement of claim 3: they treat the
-/// requested destination as advisory and decide from the per-object
-/// access-locality EMA instead.
-enum class MovePolicy : std::uint8_t {
-  Conventional,  ///< always migrate to the requested node, no locks
-  Placement,     ///< transient placement: conflicting moves are refused
-  Adaptive,      ///< migrate toward the EMA-dominant caller, hysteresis-gated
-  AdaptiveLoad,  ///< Adaptive plus a per-node hosted-objects load veto
-};
-
-[[nodiscard]] const char* to_string(MovePolicy policy);
-/// Parses "conventional|placement|adaptive|adaptive-load"; throws
-/// std::invalid_argument on anything else.
-[[nodiscard]] MovePolicy move_policy_from_string(const std::string& name);
-
-class LiveSystem {
+class LiveSystem : private migration::ObjectView {
 public:
   struct Options {
     std::size_t nodes = 2;
@@ -103,11 +88,12 @@ public:
     std::chrono::microseconds remote_latency{0};
     /// Restrict attachment transitiveness to the alliance a move names.
     bool a_transitive_attachments = false;
-    /// move()/visit() semantics. Placement (the default) refuses a
-    /// conflicting move instead of stealing the object (Section 3.2); the
-    /// adaptive kinds migrate toward the EMA-dominant caller instead of
-    /// the requested destination (docs/policies.md).
-    MovePolicy policy = MovePolicy::Placement;
+    /// How move()/visit() blocks are interpreted (docs/policies.md). Any
+    /// PolicyKind: Placement (the default) refuses a conflicting move
+    /// instead of stealing the object (Section 3.2); the adaptive kinds
+    /// treat the requested destination as advisory and follow the
+    /// per-object access-locality EMA instead.
+    migration::PolicyKind policy = migration::PolicyKind::Placement;
 
     // --- adaptive-policy knobs (docs/policies.md) -------------------------
     /// Per-access EMA retention factor of the locality tracker.
@@ -183,16 +169,12 @@ public:
     std::uint64_t store_compact_every = 256;
   };
 
-  /// Token returned by move()/visit(): carries the placement grant, the
-  /// set of objects the block locked, and (for visit) where the moved
-  /// objects came from.
-  struct MoveToken {
-    std::uint64_t id = 0;
-    bool granted = false;
-    bool visit = false;
-    std::vector<std::string> locked;
-    std::vector<std::pair<std::string, std::size_t>> origins;
-  };
+  /// The block move()/visit() opened, as the protocol core tracks it:
+  /// `granted` is false when the move was refused (the caller invokes
+  /// remotely), `locked` the placement locks the block holds, `moved` and
+  /// `origins_of_moved` what it migrated from where. An invalid `id` means
+  /// no block (unknown object, or already ended).
+  using MoveToken = migration::MoveBlock;
 
   explicit LiveSystem(Options options);
   ~LiveSystem();
@@ -212,9 +194,7 @@ public:
   /// are left running — see shutdown_remote_nodes().
   void stop();
 
-  [[nodiscard]] std::size_t node_count() const {
-    return remote() ? options_.remote_nodes.size() : nodes_.size();
-  }
+  [[nodiscard]] std::size_t node_count() const { return hosted_.size(); }
   /// True when this system coordinates omig_node processes over TCP
   /// instead of hosting its own node threads.
   [[nodiscard]] bool remote() const { return !options_.remote_nodes.empty(); }
@@ -232,7 +212,8 @@ public:
                       const std::string& argument);
 
   /// Synchronous invocation on behalf of code running at `from` — counts
-  /// remote statistics and pays the artificial remote latency.
+  /// remote statistics, pays the artificial remote latency, and feeds the
+  /// adaptive kinds' locality EMA.
   InvokeResult invoke_from(std::size_t from, const std::string& object,
                            const std::string& method,
                            const std::string& argument);
@@ -253,9 +234,10 @@ public:
   bool migrate(const std::string& object, std::size_t dest,
                const std::string& alliance = "");
 
-  /// move(): under placement, grants and locks, or refuses if a conflicting
-  /// move holds the object; under the conventional policy it always
-  /// migrates (and the token is always granted, with no locks).
+  /// move(): asks for `object`'s cluster at `dest` on behalf of code there,
+  /// interpreted under Options::policy — placement grants and locks, or
+  /// refuses if a conflicting move holds the object; conventional always
+  /// migrates; the adaptive kinds may pick another node or stay put.
   MoveToken move(const std::string& object, std::size_t dest,
                  const std::string& alliance = "");
 
@@ -264,8 +246,10 @@ public:
   MoveToken visit(const std::string& object, std::size_t dest,
                   const std::string& alliance = "");
 
-  /// end(): releases the block's placement locks and, for visit tokens,
-  /// migrates the moved objects home.
+  /// end(): releases the block's placement locks and open-move counts and
+  /// runs the migrations the end-request triggers — visit() return trips,
+  /// compare-reinstantiate's reinstantiation. Ending a token twice is a
+  /// no-op.
   void end(MoveToken& token);
 
   // --- failure injection -----------------------------------------------------
@@ -312,16 +296,9 @@ public:
   [[nodiscard]] const store::DurableStore* store() const {
     return store_.get();
   }
-  // Adaptive-policy counters (all zero unless Options::policy is
-  // Adaptive/AdaptiveLoad; docs/policies.md).
-  /// Migrations the adaptive policy decided to perform.
-  [[nodiscard]] std::uint64_t policy_migrations() const;
-  /// Candidate moves suppressed by the hysteresis band / min weight.
-  [[nodiscard]] std::uint64_t policy_suppressed_hysteresis() const;
-  /// Candidate moves vetoed by AdaptiveLoad's hosted-objects cap.
-  [[nodiscard]] std::uint64_t policy_suppressed_load() const;
-  /// Adaptive migrations that exactly undid the object's previous one.
-  [[nodiscard]] std::uint64_t policy_reversals() const;
+  /// Adaptive-policy decision tallies (all zero unless Options::policy is
+  /// Adaptive/AdaptiveLoad; docs/policies.md).
+  [[nodiscard]] migration::PolicyCounters policy_counters() const;
   /// Locality-EMA updates recorded by invocations.
   [[nodiscard]] std::uint64_t ema_updates() const;
 
@@ -359,14 +336,13 @@ public:
   }
 
 private:
+  /// The directory's record of one object, indexed by its dense ObjectId
+  /// (creation order — also the object's id in the protocol trace).
   struct Meta {
-    std::size_t node = 0;
+    std::string name;
+    std::size_t node = 0;  ///< kGone once a failed create released the name
     bool fixed = false;
     bool in_transit = false;
-    std::uint64_t locked_by = 0;  ///< move-token id, 0 = unlocked
-    /// Lease deadline for the lock (meaningful while locked_by != 0 and
-    /// Options::lock_lease is non-zero).
-    std::chrono::steady_clock::time_point lease_expiry{};
     /// Last linearised state the directory has seen (creation or most
     /// recent migration) — the crash-recovery checkpoint.
     ObjectState checkpoint;
@@ -379,29 +355,89 @@ private:
     bool durable = false;
   };
 
-  struct AttachEdge {
-    std::string peer;
-    std::string alliance;
-  };
-
   /// Sender id for messages not originating at any node (external clients,
   /// directory operations). Matches only wildcard fault rules.
   static constexpr std::size_t kExternalSender =
       static_cast<std::size_t>(-2);
+  /// Meta::node of an object whose create failed (its name is free again).
+  static constexpr std::size_t kGone = static_cast<std::size_t>(-1);
 
-  /// Attachment closure of `object` (requires `mutex_`).
-  [[nodiscard]] std::vector<std::string> closure_locked(
-      const std::string& object, const std::string& alliance) const;
+  // migration::ObjectView — the directory as the protocol core reads it.
+  // The core is only ever called with `mutex_` held.
+  [[nodiscard]] objsys::NodeId host(migration::ObjectId obj) const override {
+    return node_id(meta(obj).node);
+  }
+  [[nodiscard]] bool pinned(migration::ObjectId obj) const override {
+    return meta(obj).fixed;
+  }
+  [[nodiscard]] bool immutable(migration::ObjectId) const override {
+    return false;  // live objects are all mutable
+  }
+  [[nodiscard]] bool in_transit(migration::ObjectId obj) const override {
+    return meta(obj).in_transit;
+  }
+  [[nodiscard]] std::size_t hosted(objsys::NodeId node) const override {
+    return hosted_[node.value()];
+  }
+  [[nodiscard]] std::size_t object_count() const override {
+    return ids_.size();
+  }
+  /// Milliseconds since construction: the unit of Options::lock_lease.
+  [[nodiscard]] double now() const override;
+  /// Records a protocol event on the logical clock (requires `mutex_`).
+  /// No-op without Options::trace.
+  void record(trace::EventKind kind, migration::ObjectId object,
+              objsys::NodeId node, migration::BlockId block) override;
 
-  /// Physically relocates `objects` to `dest`; objects must already be
-  /// marked in_transit. Returns the count actually moved.
-  std::size_t relocate(const std::vector<std::string>& objects,
-                       std::size_t dest);
+  [[nodiscard]] Meta& meta(migration::ObjectId id) {
+    return objects_[id.value()];
+  }
+  [[nodiscard]] const Meta& meta(migration::ObjectId id) const {
+    return objects_[id.value()];
+  }
+  /// `node` as a protocol NodeId; invalid for kExternalSender / kGone.
+  [[nodiscard]] objsys::NodeId node_id(std::size_t node) const {
+    return node < node_count()
+               ? objsys::NodeId{static_cast<objsys::NodeId::value_type>(node)}
+               : objsys::NodeId::invalid();
+  }
+  /// Id of a live object, or invalid() (requires `mutex_`).
+  [[nodiscard]] migration::ObjectId find_locked(const std::string& name) const;
+  /// Registers a new directory entry at `node` (requires `mutex_`).
+  migration::ObjectId add_locked(const std::string& name, std::size_t node,
+                                 ObjectState checkpoint);
+  /// Interns an alliance name; "" is no alliance (requires `mutex_`).
+  migration::AllianceId alliance_locked(const std::string& name);
+
+  MoveToken open_block(const std::string& object, std::size_t dest,
+                       const std::string& alliance, bool visit);
+  /// Mirrors one move decision into the registry families (refusals, lease
+  /// grants and expiries, adaptive tallies since `expiries` / `before`) and
+  /// the store's lease audit records (requires `mutex_`).
+  void mirror_decision_locked(const MoveToken& token, std::uint64_t expiries,
+                              const migration::PolicyCounters& before);
+  /// Waits until no member of `objects` is in transit, then claims those
+  /// that can and need to move to `dest`: marks them in transit and notes
+  /// their origins in `blk` (if any). Returns the claimed members.
+  std::vector<migration::ObjectId> claim_locked(
+      std::unique_lock<std::mutex>& lock,
+      const std::vector<migration::ObjectId>& objects, std::size_t dest,
+      migration::MoveBlock* blk);
+  /// Physically relocates claimed `objects` to `dest` on behalf of `block`.
+  void relocate(const std::vector<migration::ObjectId>& objects,
+                std::size_t dest, migration::BlockId block);
 
   InvokeResult invoke_impl(std::optional<std::size_t> from,
                            const std::string& object,
                            const std::string& method,
                            const std::string& argument);
+
+  /// Sends one request under the bounded retry budget: `send(reply)` issues
+  /// an attempt; each retry re-sends (same sequence number) after an
+  /// exponential backoff. nullopt = the peer stayed unreachable — or, with
+  /// `stop_on_rejection`, rejected the first attempt outright.
+  template <class T, class Send>
+  std::optional<T> deliver(Send send, bool stop_on_rejection = false);
 
   /// True when the transport accepted the send; a typed rejection is
   /// counted and the caller retries (the peer may come back).
@@ -423,35 +459,6 @@ private:
   /// True once any fault machinery is active (injector, crash calls);
   /// gates the bounded-retry deviations from pre-fault behaviour.
   [[nodiscard]] bool faults_active() const;
-
-  /// Releases every placement lock held by `token` (requires `mutex_`).
-  void expire_lease(std::uint64_t token);
-  /// True if `meta`'s lock lease has expired (requires `mutex_`).
-  [[nodiscard]] bool lease_expired(const Meta& meta) const;
-
-  /// True when Options::policy is one of the adaptive kinds.
-  [[nodiscard]] bool adaptive_policy() const {
-    return options_.policy == MovePolicy::Adaptive ||
-           options_.policy == MovePolicy::AdaptiveLoad;
-  }
-  /// Feeds `object`'s locality EMA with one access from `from` (requires
-  /// `mutex_`). No-op unless the policy is adaptive.
-  void record_locality_locked(const std::string& object, std::size_t from);
-  /// The adaptive placement decision for `object` (requires `mutex_`):
-  /// the node to relocate the block's closure to — the object's current
-  /// host when the EMA says stay (no data, dominant already hosts, band
-  /// or load veto). Updates the policy counters and ping-pong state.
-  [[nodiscard]] std::size_t adaptive_target_locked(
-      const std::string& object, const std::string& alliance);
-
-  /// Records a protocol event on the logical clock (requires `mutex_`).
-  /// No-op without Options::trace. Pass kExternalSender as `node` for
-  /// events without a node operand and 0 as `block` for blockless ones.
-  void trace_locked(trace::EventKind kind, const std::string& object,
-                    std::size_t node, std::uint64_t block = 0);
-  /// Stable per-name trace id, assigned in first-use order (requires
-  /// `mutex_`) — identical across transport backends for one workload.
-  std::uint64_t object_trace_id_locked(const std::string& name);
 
   /// Replays the fault plan's crash schedule on wall-clock time.
   void run_fault_schedule();
@@ -501,25 +508,26 @@ private:
   std::unordered_map<std::string, ObjectFactory> factories_;
   std::vector<std::unique_ptr<LiveNode>> nodes_;
   bool started_ = false;
+  const std::chrono::steady_clock::time_point epoch_ =
+      std::chrono::steady_clock::now();
 
+  // --- the directory; all guarded by mutex_ -------------------------------
   mutable std::mutex mutex_;
   std::condition_variable transit_cv_;
-  std::unordered_map<std::string, Meta> directory_;
-  std::unordered_map<std::string, std::vector<AttachEdge>> attachments_;
-  std::vector<char> node_down_;  ///< guarded by mutex_
-  std::uint64_t next_token_ = 1;
-  std::unordered_map<std::string, std::uint64_t> object_ids_;  ///< trace ids
-  std::uint64_t next_object_id_ = 0;  ///< guarded by mutex_
-  std::uint64_t trace_clock_ = 0;     ///< guarded by mutex_
-
+  /// Every object ever created, by ObjectId (a deque: references stay valid
+  /// while others are appended).
+  std::deque<Meta> objects_;
+  std::unordered_map<std::string, migration::ObjectId> ids_;
+  std::unordered_map<std::string, migration::AllianceId> alliances_;
+  /// Objects whose directory entry places them at each node.
+  std::vector<std::size_t> hosted_;
+  std::vector<char> node_down_;
+  std::uint64_t trace_clock_ = 0;
+  migration::AttachmentGraph attachments_;
+  migration::ProtocolCore protocol_;
   /// Access-locality telemetry (docs/policies.md); null unless the policy
-  /// is adaptive. The tracker is dense-id keyed, so names get stable ids
-  /// in first-invocation order. All guarded by mutex_.
+  /// is adaptive.
   std::unique_ptr<objsys::LocalityTracker> locality_;
-  std::unordered_map<std::string, std::uint32_t> locality_ids_;
-  /// Last adaptive relocation per object (from, to) — ping-pong detector.
-  std::unordered_map<std::string, std::pair<std::size_t, std::size_t>>
-      last_policy_move_;
   /// Cached obs family ("adaptive" / "adaptive-load"); set in start().
   std::optional<obs::PolicyMetrics> policy_obs_;
 
@@ -553,7 +561,6 @@ private:
   std::atomic<std::uint64_t> migrations_{0};
   std::atomic<std::uint64_t> refused_{0};
   std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> lease_expiries_{0};
   std::atomic<std::uint64_t> crashes_{0};
   std::atomic<std::uint64_t> restarts_{0};
   std::atomic<std::uint64_t> recoveries_{0};
@@ -567,11 +574,6 @@ private:
   std::atomic<std::uint64_t> dir_updates_{0};
   std::atomic<std::uint64_t> dir_invalidations_{0};
   std::atomic<std::uint64_t> dir_fallbacks_{0};
-  std::atomic<std::uint64_t> policy_migrations_{0};
-  std::atomic<std::uint64_t> policy_suppressed_hysteresis_{0};
-  std::atomic<std::uint64_t> policy_suppressed_load_{0};
-  std::atomic<std::uint64_t> policy_reversals_{0};
-  std::atomic<std::uint64_t> ema_updates_{0};
 };
 
 }  // namespace omig::runtime

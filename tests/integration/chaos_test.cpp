@@ -56,7 +56,7 @@ runtime::ObjectState case_file_state() {
 std::unique_ptr<runtime::LiveSystem> office_system(
     runtime::LiveSystem::Options opts) {
   opts.nodes = 4;
-  opts.policy = runtime::MovePolicy::Placement;
+  opts.policy = migration::PolicyKind::Placement;
   opts.a_transitive_attachments = true;
   auto sys = std::make_unique<runtime::LiveSystem>(std::move(opts));
   sys->register_type("case-file", case_file_factory());

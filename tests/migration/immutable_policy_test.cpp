@@ -47,7 +47,7 @@ TEST(ImmutablePolicyTest, PlacementNeverRefusesStaticObjects) {
   f.engine.run();
   EXPECT_TRUE(f.registry.has_replica(o, f.node(1)));
   EXPECT_TRUE(f.registry.has_replica(o, f.node(2)));
-  EXPECT_FALSE(f.manager.is_locked(o));
+  EXPECT_FALSE(f.manager.protocol().is_locked(o));
   policy->end_block(a);
   policy->end_block(b);  // no lock bookkeeping to trip over
 }
@@ -74,7 +74,7 @@ TEST(ImmutablePolicyTest, CompareNodesCopiesWithoutBookkeeping) {
   f.engine.spawn(run_block(*policy, blk));
   f.engine.run();
   EXPECT_TRUE(f.registry.has_replica(o, f.node(2)));
-  EXPECT_EQ(f.manager.open_moves(o, f.node(2)), 0);  // not counted
+  EXPECT_EQ(f.manager.protocol().open_moves(o, f.node(2)), 0);  // not counted
   policy->end_block(blk);                            // must not throw
 }
 

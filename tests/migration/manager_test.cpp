@@ -107,13 +107,14 @@ TEST(ManagerTest, TransferWaitsForInTransitObjects) {
 
 TEST(ManagerTest, MigrationClusterUnrestrictedFollowsAllEdges) {
   MigrationFixture f;
+  ProtocolCore& core = f.manager.protocol();
   const ObjectId a = f.registry.create("a", f.node(0));
   const ObjectId b = f.registry.create("b", f.node(0));
   const ObjectId c = f.registry.create("c", f.node(0));
   const AllianceId ally = f.alliances.create("x");
   f.attachments.attach(a, b, ally);
   f.attachments.attach(b, c, AllianceId::invalid());
-  const auto cluster = f.manager.migration_cluster(a, ally);
+  const auto cluster = core.cluster(a, ally);
   EXPECT_EQ(cluster.size(), 3u);  // unrestricted by default
 }
 
@@ -121,71 +122,76 @@ TEST(ManagerTest, MigrationClusterATransitiveRespectsContext) {
   ManagerOptions opts;
   opts.transitivity = AttachTransitivity::ATransitive;
   MigrationFixture f{4, opts};
+  ProtocolCore& core = f.manager.protocol();
   const ObjectId a = f.registry.create("a", f.node(0));
   const ObjectId b = f.registry.create("b", f.node(0));
   const ObjectId c = f.registry.create("c", f.node(0));
   const AllianceId ally = f.alliances.create("x");
   f.attachments.attach(a, b, ally);
   f.attachments.attach(b, c, AllianceId::invalid());
-  EXPECT_EQ(f.manager.migration_cluster(a, ally).size(), 2u);
+  EXPECT_EQ(core.cluster(a, ally).size(), 2u);
   // Without an alliance context even the A-transitive mode falls back to
   // the full closure (there is nothing to restrict to).
-  EXPECT_EQ(f.manager.migration_cluster(a, AllianceId::invalid()).size(), 3u);
+  EXPECT_EQ(core.cluster(a, AllianceId::invalid()).size(), 3u);
 }
 
 TEST(ManagerTest, LockLifecycle) {
   MigrationFixture f;
+  ProtocolCore& core = f.manager.protocol();
   const ObjectId o = f.registry.create("o", f.node(0));
   const MoveBlock a = f.manager.new_block(f.node(1), o);
   const MoveBlock b = f.manager.new_block(f.node(2), o);
-  EXPECT_FALSE(f.manager.is_locked(o));
-  EXPECT_TRUE(f.manager.try_lock(o, a.id));
-  EXPECT_TRUE(f.manager.is_locked(o));
-  EXPECT_EQ(f.manager.lock_owner(o), a.id);
-  EXPECT_TRUE(f.manager.try_lock(o, a.id));   // re-entrant for the holder
-  EXPECT_FALSE(f.manager.try_lock(o, b.id));  // conflicting block refused
-  f.manager.unlock(o, b.id);                  // non-owner unlock is a no-op
-  EXPECT_TRUE(f.manager.is_locked(o));
-  f.manager.unlock(o, a.id);
-  EXPECT_FALSE(f.manager.is_locked(o));
-  EXPECT_TRUE(f.manager.try_lock(o, b.id));
+  EXPECT_FALSE(core.is_locked(o));
+  EXPECT_TRUE(core.try_lock(o, a.id));
+  EXPECT_TRUE(core.is_locked(o));
+  EXPECT_EQ(core.lock_owner(o), a.id);
+  EXPECT_TRUE(core.try_lock(o, a.id));   // re-entrant for the holder
+  EXPECT_FALSE(core.try_lock(o, b.id));  // conflicting block refused
+  core.unlock(o, b.id);                  // non-owner unlock is a no-op
+  EXPECT_TRUE(core.is_locked(o));
+  core.unlock(o, a.id);
+  EXPECT_FALSE(core.is_locked(o));
+  EXPECT_TRUE(core.try_lock(o, b.id));
 }
 
 TEST(ManagerTest, OpenMoveBookkeeping) {
   MigrationFixture f;
+  ProtocolCore& core = f.manager.protocol();
   const ObjectId o = f.registry.create("o", f.node(0));
-  EXPECT_EQ(f.manager.open_moves(o, f.node(1)), 0);
-  f.manager.note_move(o, f.node(1));
-  f.manager.note_move(o, f.node(1));
-  f.manager.note_move(o, f.node(2));
-  EXPECT_EQ(f.manager.open_moves(o, f.node(1)), 2);
-  EXPECT_EQ(f.manager.open_moves(o, f.node(2)), 1);
-  f.manager.note_end(o, f.node(1));
-  EXPECT_EQ(f.manager.open_moves(o, f.node(1)), 1);
-  EXPECT_THROW(f.manager.note_end(o, f.node(3)), omig::AssertionError);
+  EXPECT_EQ(core.open_moves(o, f.node(1)), 0);
+  core.note_move(o, f.node(1));
+  core.note_move(o, f.node(1));
+  core.note_move(o, f.node(2));
+  EXPECT_EQ(core.open_moves(o, f.node(1)), 2);
+  EXPECT_EQ(core.open_moves(o, f.node(2)), 1);
+  core.note_end(o, f.node(1));
+  EXPECT_EQ(core.open_moves(o, f.node(1)), 1);
+  EXPECT_THROW(core.note_end(o, f.node(3)), omig::AssertionError);
 }
 
 TEST(ManagerTest, StrictMajorityNode) {
   MigrationFixture f;  // default clear_majority_minimum = 2
+  ProtocolCore& core = f.manager.protocol();
   const ObjectId o = f.registry.create("o", f.node(0));
-  EXPECT_FALSE(f.manager.strict_majority_node(o).valid());
-  f.manager.note_move(o, f.node(1));
+  EXPECT_FALSE(core.strict_majority_node(o).valid());
+  core.note_move(o, f.node(1));
   // A single open move is not a *clear* majority under the default.
-  EXPECT_FALSE(f.manager.strict_majority_node(o).valid());
-  f.manager.note_move(o, f.node(2));
-  f.manager.note_move(o, f.node(2));
-  EXPECT_EQ(f.manager.strict_majority_node(o), f.node(2));
-  f.manager.note_move(o, f.node(1));
-  EXPECT_FALSE(f.manager.strict_majority_node(o).valid());  // tie at 2
+  EXPECT_FALSE(core.strict_majority_node(o).valid());
+  core.note_move(o, f.node(2));
+  core.note_move(o, f.node(2));
+  EXPECT_EQ(core.strict_majority_node(o), f.node(2));
+  core.note_move(o, f.node(1));
+  EXPECT_FALSE(core.strict_majority_node(o).valid());  // tie at 2
 }
 
 TEST(ManagerTest, StrictMajorityNodeWithMinimumOne) {
   ManagerOptions opts;
   opts.clear_majority_minimum = 1;
   MigrationFixture f{4, opts};
+  ProtocolCore& core = f.manager.protocol();
   const ObjectId o = f.registry.create("o", f.node(0));
-  f.manager.note_move(o, f.node(1));
-  EXPECT_EQ(f.manager.strict_majority_node(o), f.node(1));
+  core.note_move(o, f.node(1));
+  EXPECT_EQ(core.strict_majority_node(o), f.node(1));
 }
 
 TEST(ManagerTest, BackgroundCostSinkReceivesUnattributedCost) {

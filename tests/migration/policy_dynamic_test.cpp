@@ -28,7 +28,7 @@ TEST(CompareNodesTest, FirstMoveMigrates) {
   f.engine.run();
   // Requester has 1 open move, host node has 0: migrate.
   EXPECT_EQ(f.registry.location(o), f.node(2));
-  EXPECT_EQ(f.manager.open_moves(o, f.node(2)), 1);
+  EXPECT_EQ(f.manager.protocol().open_moves(o, f.node(2)), 1);
 }
 
 TEST(CompareNodesTest, TiedCountsDoNotMigrate) {
@@ -71,7 +71,7 @@ TEST(CompareNodesTest, EndDecrementsCounts) {
   f.engine.spawn(run_block(*policy, blk));
   f.engine.run();
   policy->end_block(blk);
-  EXPECT_EQ(f.manager.open_moves(o, f.node(2)), 0);
+  EXPECT_EQ(f.manager.protocol().open_moves(o, f.node(2)), 0);
   // No reinstantiation in the plain comparing policy: stays at node 2.
   EXPECT_EQ(f.registry.location(o), f.node(2));
 }
@@ -86,7 +86,7 @@ TEST(CompareNodesTest, FixedObjectRefused) {
   f.engine.run();
   EXPECT_EQ(f.registry.location(o), f.node(0));
   policy->end_block(blk);  // count bookkeeping must still balance
-  EXPECT_EQ(f.manager.open_moves(o, f.node(2)), 0);
+  EXPECT_EQ(f.manager.protocol().open_moves(o, f.node(2)), 0);
 }
 
 TEST(CompareReinstantiateTest, EndMigratesToMajorityHolder) {

@@ -28,7 +28,7 @@ TEST(PlacementPolicyTest, UncontestedMoveBehavesConventionally) {
   f.engine.run();
   EXPECT_EQ(f.registry.location(o), f.node(2));
   EXPECT_TRUE(blk.lock_held);
-  EXPECT_TRUE(f.manager.is_locked(o));
+  EXPECT_TRUE(f.manager.protocol().is_locked(o));
   EXPECT_DOUBLE_EQ(blk.migration_cost, 7.0);  // request + M
 }
 
@@ -40,7 +40,7 @@ TEST(PlacementPolicyTest, EndUnlocks) {
   f.engine.spawn(run_block(*policy, blk));
   f.engine.run();
   policy->end_block(blk);
-  EXPECT_FALSE(f.manager.is_locked(o));
+  EXPECT_FALSE(f.manager.protocol().is_locked(o));
   EXPECT_FALSE(blk.lock_held);
   // The object stays where it is — placement never migrates on end.
   EXPECT_EQ(f.registry.location(o), f.node(2));
@@ -75,9 +75,9 @@ TEST(PlacementPolicyTest, IgnoredEndOfRefusedMoveIsHarmless) {
   f.engine.spawn(run_block_after(f, *policy, 8.0, second));
   f.engine.run();
   policy->end_block(second);           // "the end-request is simply ignored"
-  EXPECT_TRUE(f.manager.is_locked(o));  // first's lock is untouched
+  EXPECT_TRUE(f.manager.protocol().is_locked(o));  // first's lock is untouched
   policy->end_block(first);
-  EXPECT_FALSE(f.manager.is_locked(o));
+  EXPECT_FALSE(f.manager.protocol().is_locked(o));
 }
 
 TEST(PlacementPolicyTest, NextMoverWinsAfterUnlock) {
@@ -158,7 +158,7 @@ TEST(PlacementPolicyTest, LockedPrimaryButFreeMembersPartialMove) {
   // b is in a's closure, so the move of a still happens with b left behind.
   f.attachments.attach(a, c);
   const MoveBlock other = f.manager.new_block(f.node(3), b);
-  ASSERT_TRUE(f.manager.try_lock(b, other.id));
+  ASSERT_TRUE(f.manager.protocol().try_lock(b, other.id));
   MoveBlock blk = f.manager.new_block(f.node(2), a);
   f.engine.spawn(run_block(*policy, blk));
   f.engine.run();

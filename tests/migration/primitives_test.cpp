@@ -89,7 +89,7 @@ TEST(PrimitivesTest, MoveBlockRoundTrip) {
   // Request (1) + migration (6); the 5 calls are local and free.
   EXPECT_DOUBLE_EQ(elapsed, 7.0);
   EXPECT_EQ(f.prims->location_of(o), f.node(2));
-  EXPECT_FALSE(f.manager.is_locked(o));  // end released the lock
+  EXPECT_FALSE(f.manager.protocol().is_locked(o));  // end released the lock
 }
 
 sim::Task visit_block(PrimFixture& f, ObjectId target, NodeId me) {
@@ -147,7 +147,7 @@ TEST(PrimitivesTest, CallByMoveRespectsThePolicy) {
   const ObjectId tool = f.registry.create("tool", f.node(2));
   const ObjectId param = f.registry.create("param", f.node(0));
   const MoveBlock holder = f.manager.new_block(f.node(3), param);
-  ASSERT_TRUE(f.manager.try_lock(param, holder.id));
+  ASSERT_TRUE(f.manager.protocol().try_lock(param, holder.id));
   f.engine.spawn(do_call_by_move(f, f.node(1), tool, param, false));
   f.engine.run();
   EXPECT_EQ(f.prims->location_of(param), f.node(0));  // refused: stayed

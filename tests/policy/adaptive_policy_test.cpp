@@ -37,7 +37,7 @@ TEST(AdaptivePolicyTest, RequiresALocalityTracker) {
 TEST(AdaptivePolicyTest, MigratesTowardTheDominantCallerNotTheRequester) {
   MigrationFixture f;
   LocalityTracker tracker{4};
-  f.manager.set_locality_tracker(&tracker);
+  f.manager.protocol().set_locality(&tracker);
   auto policy = make_policy(PolicyKind::Adaptive, f.manager);
   const ObjectId o = f.registry.create("o", f.node(0));
   // Node 2 dominates the recent accesses; node 1 issues the move().
@@ -47,14 +47,14 @@ TEST(AdaptivePolicyTest, MigratesTowardTheDominantCallerNotTheRequester) {
   f.engine.run();
   // The requested destination is advisory: the object lands at node 2.
   EXPECT_EQ(f.registry.location(o), f.node(2));
-  EXPECT_EQ(f.manager.policy_counters().migrations_triggered, 1u);
-  EXPECT_EQ(f.manager.policy_counters().suppressed_hysteresis, 0u);
+  EXPECT_EQ(f.manager.protocol().counters().migrations_triggered, 1u);
+  EXPECT_EQ(f.manager.protocol().counters().suppressed_hysteresis, 0u);
 }
 
 TEST(AdaptivePolicyTest, StaysWhenTheHostAlreadyDominates) {
   MigrationFixture f;
   LocalityTracker tracker{4};
-  f.manager.set_locality_tracker(&tracker);
+  f.manager.protocol().set_locality(&tracker);
   auto policy = make_policy(PolicyKind::Adaptive, f.manager);
   const ObjectId o = f.registry.create("o", f.node(0));
   access(tracker, o, f.node(0), 8);
@@ -62,13 +62,13 @@ TEST(AdaptivePolicyTest, StaysWhenTheHostAlreadyDominates) {
   f.engine.spawn(run_block(*policy, blk));
   f.engine.run();
   EXPECT_EQ(f.registry.location(o), f.node(0));
-  EXPECT_EQ(f.manager.policy_counters().migrations_triggered, 0u);
+  EXPECT_EQ(f.manager.protocol().counters().migrations_triggered, 0u);
 }
 
 TEST(AdaptivePolicyTest, MinWeightGateBlocksASingleAccess) {
   MigrationFixture f;  // default adaptive_min_weight = 4.0
   LocalityTracker tracker{4};
-  f.manager.set_locality_tracker(&tracker);
+  f.manager.protocol().set_locality(&tracker);
   auto policy = make_policy(PolicyKind::Adaptive, f.manager);
   const ObjectId o = f.registry.create("o", f.node(0));
   access(tracker, o, f.node(2), 1);  // weight 1 < 4
@@ -76,14 +76,14 @@ TEST(AdaptivePolicyTest, MinWeightGateBlocksASingleAccess) {
   f.engine.spawn(run_block(*policy, blk));
   f.engine.run();
   EXPECT_EQ(f.registry.location(o), f.node(0));
-  EXPECT_EQ(f.manager.policy_counters().suppressed_hysteresis, 1u);
-  EXPECT_EQ(f.manager.policy_counters().migrations_triggered, 0u);
+  EXPECT_EQ(f.manager.protocol().counters().suppressed_hysteresis, 1u);
+  EXPECT_EQ(f.manager.protocol().counters().migrations_triggered, 0u);
 }
 
 TEST(AdaptivePolicyTest, HysteresisSuppressesAThinMargin) {
   MigrationFixture f;  // default hysteresis_band = 0.2
   LocalityTracker tracker{4};
-  f.manager.set_locality_tracker(&tracker);
+  f.manager.protocol().set_locality(&tracker);
   auto policy = make_policy(PolicyKind::Adaptive, f.manager);
   const ObjectId o = f.registry.create("o", f.node(0));
   // The host and node 2 alternate strictly: with decay 0.9 the latest
@@ -96,8 +96,8 @@ TEST(AdaptivePolicyTest, HysteresisSuppressesAThinMargin) {
   f.engine.spawn(run_block(*policy, blk));
   f.engine.run();
   EXPECT_EQ(f.registry.location(o), f.node(0));
-  EXPECT_EQ(f.manager.policy_counters().suppressed_hysteresis, 1u);
-  EXPECT_EQ(f.manager.policy_counters().migrations_triggered, 0u);
+  EXPECT_EQ(f.manager.protocol().counters().suppressed_hysteresis, 1u);
+  EXPECT_EQ(f.manager.protocol().counters().migrations_triggered, 0u);
 }
 
 // The satellite regression: an object shared by two alternating callers
@@ -108,7 +108,7 @@ TEST(AdaptivePolicyTest, HysteresisSuppressesAThinMargin) {
 TEST(AdaptivePolicyTest, NoPingPongOnAlternatingTwoNodeTrace) {
   MigrationFixture f;
   LocalityTracker tracker{4};
-  f.manager.set_locality_tracker(&tracker);
+  f.manager.protocol().set_locality(&tracker);
   auto policy = make_policy(PolicyKind::Adaptive, f.manager);
   // The object lives with one of the two callers; they take strict turns.
   const ObjectId o = f.registry.create("o", f.node(1));
@@ -123,10 +123,10 @@ TEST(AdaptivePolicyTest, NoPingPongOnAlternatingTwoNodeTrace) {
   // Node 2's turns leave it dominant by only ~0.05 of the EMA mass, so
   // every candidate move is suppressed; node 1's turns find the dominant
   // node already hosting. The object never moves, so it cannot ping-pong.
-  EXPECT_EQ(f.manager.policy_counters().migrations_triggered, 0u);
-  EXPECT_EQ(f.manager.policy_counters().pingpong_reversals, 0u);
+  EXPECT_EQ(f.manager.protocol().counters().migrations_triggered, 0u);
+  EXPECT_EQ(f.manager.protocol().counters().pingpong_reversals, 0u);
   EXPECT_EQ(f.registry.location(o), f.node(1));
-  EXPECT_EQ(f.manager.policy_counters().suppressed_hysteresis, 8u);
+  EXPECT_EQ(f.manager.protocol().counters().suppressed_hysteresis, 8u);
 }
 
 TEST(AdaptivePolicyTest, DisablingHysteresisReproducesThePingPong) {
@@ -135,7 +135,7 @@ TEST(AdaptivePolicyTest, DisablingHysteresisReproducesThePingPong) {
   opts.adaptive_min_weight = 0.0;
   MigrationFixture f{4, opts};
   LocalityTracker tracker{4};
-  f.manager.set_locality_tracker(&tracker);
+  f.manager.protocol().set_locality(&tracker);
   auto policy = make_policy(PolicyKind::Adaptive, f.manager);
   const ObjectId o = f.registry.create("o", f.node(0));
   for (int round = 0; round < 16; ++round) {
@@ -148,14 +148,14 @@ TEST(AdaptivePolicyTest, DisablingHysteresisReproducesThePingPong) {
   }
   // Every block migrates toward the latest caller; from the third block on
   // each move exactly undoes the previous one.
-  EXPECT_EQ(f.manager.policy_counters().migrations_triggered, 16u);
-  EXPECT_GE(f.manager.policy_counters().pingpong_reversals, 14u);
+  EXPECT_EQ(f.manager.protocol().counters().migrations_triggered, 16u);
+  EXPECT_GE(f.manager.protocol().counters().pingpong_reversals, 14u);
 }
 
 TEST(AdaptiveLoadPolicyTest, OverloadedDominantNodeVetoesTheMove) {
   MigrationFixture f;  // default load_factor = 2.0
   LocalityTracker tracker{4};
-  f.manager.set_locality_tracker(&tracker);
+  f.manager.protocol().set_locality(&tracker);
   const ObjectId o = f.registry.create("o", f.node(0));
   // Pile 11 bystander objects onto node 2: object_count 12 over 4 nodes is
   // a mean of 3, cap 6 — node 2 would host 12 > 6 after the move.
@@ -169,8 +169,8 @@ TEST(AdaptiveLoadPolicyTest, OverloadedDominantNodeVetoesTheMove) {
   f.engine.spawn(run_block(*load_aware, blk));
   f.engine.run();
   EXPECT_EQ(f.registry.location(o), f.node(0));
-  EXPECT_EQ(f.manager.policy_counters().suppressed_load, 1u);
-  EXPECT_EQ(f.manager.policy_counters().migrations_triggered, 0u);
+  EXPECT_EQ(f.manager.protocol().counters().suppressed_load, 1u);
+  EXPECT_EQ(f.manager.protocol().counters().migrations_triggered, 0u);
 
   // The plain adaptive policy ignores load and takes the same move.
   auto plain = make_policy(PolicyKind::Adaptive, f.manager);
@@ -178,7 +178,7 @@ TEST(AdaptiveLoadPolicyTest, OverloadedDominantNodeVetoesTheMove) {
   f.engine.spawn(run_block(*plain, blk2));
   f.engine.run();
   EXPECT_EQ(f.registry.location(o), f.node(2));
-  EXPECT_EQ(f.manager.policy_counters().migrations_triggered, 1u);
+  EXPECT_EQ(f.manager.protocol().counters().migrations_triggered, 1u);
 }
 
 TEST(AdaptiveLoadPolicyTest, MeanLoadIsFlooredSoSparseSystemsStillMigrate) {
@@ -187,7 +187,7 @@ TEST(AdaptiveLoadPolicyTest, MeanLoadIsFlooredSoSparseSystemsStillMigrate) {
   // lone object free to join its dominant caller.
   MigrationFixture f{8};
   LocalityTracker tracker{8};
-  f.manager.set_locality_tracker(&tracker);
+  f.manager.protocol().set_locality(&tracker);
   auto policy = make_policy(PolicyKind::AdaptiveLoad, f.manager);
   const ObjectId o = f.registry.create("o", f.node(0));  // 1 object, 8 nodes
   access(tracker, o, f.node(5), 8);
@@ -195,8 +195,8 @@ TEST(AdaptiveLoadPolicyTest, MeanLoadIsFlooredSoSparseSystemsStillMigrate) {
   f.engine.spawn(run_block(*policy, blk));
   f.engine.run();
   EXPECT_EQ(f.registry.location(o), f.node(5));
-  EXPECT_EQ(f.manager.policy_counters().suppressed_load, 0u);
-  EXPECT_EQ(f.manager.policy_counters().migrations_triggered, 1u);
+  EXPECT_EQ(f.manager.protocol().counters().suppressed_load, 0u);
+  EXPECT_EQ(f.manager.protocol().counters().migrations_triggered, 1u);
 }
 
 }  // namespace

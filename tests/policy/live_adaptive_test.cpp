@@ -13,6 +13,8 @@
 namespace omig::runtime {
 namespace {
 
+using migration::PolicyKind;
+
 ObjectFactory counter_factory() {
   return [](std::string name, ObjectState state) {
     auto obj = std::make_unique<LiveObject>(std::move(name), std::move(state));
@@ -31,7 +33,7 @@ ObjectState counter_state() {
   return s;
 }
 
-LiveSystem::Options adaptive_opts(MovePolicy policy, std::size_t nodes = 3) {
+LiveSystem::Options adaptive_opts(PolicyKind policy, std::size_t nodes = 3) {
   LiveSystem::Options opts;
   opts.nodes = nodes;
   opts.policy = policy;
@@ -39,7 +41,7 @@ LiveSystem::Options adaptive_opts(MovePolicy policy, std::size_t nodes = 3) {
 }
 
 TEST(LiveAdaptiveTest, MovesTowardTheDominantCallerNotTheRequestedDest) {
-  LiveSystem sys{adaptive_opts(MovePolicy::Adaptive)};
+  LiveSystem sys{adaptive_opts(PolicyKind::Adaptive)};
   sys.register_type("counter", counter_factory());
   sys.start();
   ASSERT_TRUE(sys.create("obj", counter_state(), 0));
@@ -49,15 +51,15 @@ TEST(LiveAdaptiveTest, MovesTowardTheDominantCallerNotTheRequestedDest) {
   auto token = sys.move("obj", 1);
   EXPECT_TRUE(token.granted);
   EXPECT_EQ(sys.location("obj"), std::size_t{2});
-  EXPECT_EQ(sys.policy_migrations(), 1u);
-  EXPECT_EQ(sys.policy_suppressed_hysteresis(), 0u);
+  EXPECT_EQ(sys.policy_counters().migrations_triggered, 1u);
+  EXPECT_EQ(sys.policy_counters().suppressed_hysteresis, 0u);
   EXPECT_EQ(sys.ema_updates(), 8u);
   sys.end(token);
   sys.stop();
 }
 
 TEST(LiveAdaptiveTest, HysteresisKeepsAnEvenlySharedObjectHome) {
-  LiveSystem sys{adaptive_opts(MovePolicy::Adaptive)};
+  LiveSystem sys{adaptive_opts(PolicyKind::Adaptive)};
   sys.register_type("counter", counter_factory());
   sys.start();
   // The object lives with one of its two callers, who take strict turns:
@@ -69,8 +71,8 @@ TEST(LiveAdaptiveTest, HysteresisKeepsAnEvenlySharedObjectHome) {
   auto token = sys.move("obj", 2);
   EXPECT_TRUE(token.granted);  // the block itself proceeds (remote calls)
   EXPECT_EQ(sys.location("obj"), std::size_t{1});
-  EXPECT_EQ(sys.policy_migrations(), 0u);
-  EXPECT_GE(sys.policy_suppressed_hysteresis(), 1u);
+  EXPECT_EQ(sys.policy_counters().migrations_triggered, 0u);
+  EXPECT_GE(sys.policy_counters().suppressed_hysteresis, 1u);
   sys.end(token);
 
   // Keep alternating move()s from both callers: the object must not
@@ -81,14 +83,14 @@ TEST(LiveAdaptiveTest, HysteresisKeepsAnEvenlySharedObjectHome) {
     auto t = sys.move("obj", caller);
     sys.end(t);
   }
-  EXPECT_EQ(sys.policy_migrations(), 0u);
-  EXPECT_EQ(sys.policy_reversals(), 0u);
+  EXPECT_EQ(sys.policy_counters().migrations_triggered, 0u);
+  EXPECT_EQ(sys.policy_counters().pingpong_reversals, 0u);
   EXPECT_EQ(sys.location("obj"), std::size_t{1});
   sys.stop();
 }
 
 TEST(LiveAdaptiveTest, LoadVetoSuppressesMovesIntoACrowdedNode) {
-  LiveSystem sys{adaptive_opts(MovePolicy::AdaptiveLoad)};
+  LiveSystem sys{adaptive_opts(PolicyKind::AdaptiveLoad)};
   sys.register_type("counter", counter_factory());
   sys.start();
   ASSERT_TRUE(sys.create("obj", counter_state(), 0));
@@ -101,8 +103,8 @@ TEST(LiveAdaptiveTest, LoadVetoSuppressesMovesIntoACrowdedNode) {
   for (int i = 0; i < 8; ++i) sys.invoke_from(2, "obj", "add", "");
   auto token = sys.move("obj", 2);
   EXPECT_EQ(sys.location("obj"), std::size_t{0});
-  EXPECT_GE(sys.policy_suppressed_load(), 1u);
-  EXPECT_EQ(sys.policy_migrations(), 0u);
+  EXPECT_GE(sys.policy_counters().suppressed_load, 1u);
+  EXPECT_EQ(sys.policy_counters().migrations_triggered, 0u);
   sys.end(token);
   sys.stop();
 }
@@ -114,7 +116,7 @@ TEST(LiveAdaptiveTest, LoadVetoSuppressesMovesIntoACrowdedNode) {
 // migrations).
 std::vector<trace::Event> traced_workload(TransportKind transport) {
   trace::TraceLog log;
-  LiveSystem::Options opts = adaptive_opts(MovePolicy::Adaptive);
+  LiveSystem::Options opts = adaptive_opts(PolicyKind::Adaptive);
   opts.transport = transport;
   opts.trace = &log;
   LiveSystem sys{opts};

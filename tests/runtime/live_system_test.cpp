@@ -9,6 +9,8 @@
 namespace omig::runtime {
 namespace {
 
+using migration::PolicyKind;
+
 ObjectFactory counter_factory() {
   return [](std::string name, ObjectState state) {
     auto obj = std::make_unique<LiveObject>(std::move(name), std::move(state));
@@ -36,7 +38,7 @@ std::unique_ptr<LiveSystem> make_system(std::size_t nodes,
                                         bool a_transitive = false) {
   LiveSystem::Options opts;
   opts.nodes = nodes;
-  opts.policy = placement ? MovePolicy::Placement : MovePolicy::Conventional;
+  opts.policy = placement ? PolicyKind::Placement : PolicyKind::Conventional;
   opts.a_transitive_attachments = a_transitive;
   auto sys = std::make_unique<LiveSystem>(opts);
   sys->register_type("counter", counter_factory());
@@ -222,6 +224,64 @@ TEST(LiveSystemTest, InvokeDuringMigrationNeverFails) {
   EXPECT_EQ(failures.load(), 0);
   // Only the very first migrate (0 → 0) is a no-op; the rest all relocate.
   EXPECT_EQ(sys->migrations(), 49u);
+}
+
+// The live runtime runs the simulator's protocol core, so every PolicyKind
+// works here too — not only the placement pair.
+std::unique_ptr<LiveSystem> make_system(std::size_t nodes,
+                                        PolicyKind policy) {
+  LiveSystem::Options opts;
+  opts.nodes = nodes;
+  opts.policy = policy;
+  auto sys = std::make_unique<LiveSystem>(opts);
+  sys->register_type("counter", counter_factory());
+  sys->start();
+  return sys;
+}
+
+TEST(LiveSystemTest, SedentaryNeverMoves) {
+  auto sys = make_system(3, PolicyKind::Sedentary);
+  ASSERT_TRUE(sys->create("c", counter_state(), 0));
+  auto token = sys->visit("c", 2);
+  EXPECT_TRUE(token.granted);
+  EXPECT_EQ(sys->location("c"), 0u);
+  sys->end(token);
+  EXPECT_EQ(sys->location("c"), 0u);
+  EXPECT_EQ(sys->migrations(), 0u);
+}
+
+TEST(LiveSystemTest, LoadShareMovesToTheLeastLoadedNode) {
+  auto sys = make_system(3, PolicyKind::LoadShare);
+  ASSERT_TRUE(sys->create("a", counter_state(), 0));
+  ASSERT_TRUE(sys->create("b", counter_state(), 0));
+  ASSERT_TRUE(sys->create("c", counter_state(), 1));
+  // Node 1 asks; node 2 hosts nothing, so that is where "a" goes.
+  auto token = sys->move("a", 1);
+  EXPECT_EQ(sys->location("a"), 2u);
+  sys->end(token);
+}
+
+TEST(LiveSystemTest, ComparingNodesMovesOnStrictMajorities) {
+  for (const auto kind : {PolicyKind::CompareNodes,
+                          PolicyKind::CompareReinstantiate}) {
+    auto sys = make_system(3, kind);
+    ASSERT_TRUE(sys->create("c", counter_state(), 0));
+    auto x1 = sys->move("c", 1);  // 1 open request beats 0: migrates
+    auto x2 = sys->move("c", 1);
+    EXPECT_EQ(sys->location("c"), 1u);
+    auto y1 = sys->move("c", 2);  // 1 vs 2 open requests: stays
+    auto y2 = sys->move("c", 2);  // 2 vs 2: still no strict majority
+    EXPECT_TRUE(y2.granted);
+    EXPECT_EQ(sys->location("c"), 1u);
+    // This end leaves node 2 with a clear majority (2 vs 1): only
+    // comparing-and-reinstantiation acts on it.
+    sys->end(x1);
+    EXPECT_EQ(sys->location("c"),
+              kind == PolicyKind::CompareReinstantiate ? 2u : 1u);
+    sys->end(x2);
+    sys->end(y1);
+    sys->end(y2);
+  }
 }
 
 TEST(LiveNodeTest, DoubleStartAndDoubleStopAreIdempotent) {

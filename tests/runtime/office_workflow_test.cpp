@@ -24,7 +24,7 @@ protected:
   void SetUp() override {
     LiveSystem::Options opts;
     opts.nodes = 4;
-    opts.policy = MovePolicy::Placement;
+    opts.policy = migration::PolicyKind::Placement;
     opts.a_transitive_attachments = true;
     opts.transport = GetParam();
     sys = std::make_unique<LiveSystem>(opts);

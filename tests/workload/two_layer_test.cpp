@@ -176,7 +176,7 @@ TEST(TwoLayerTest, PlacementKeepsClustersDisjoint) {
   }
   // Only blocks still open when the engine stopped may hold locks: at most
   // one cluster (3 objects) per client.
-  EXPECT_LE(f.manager.locked_count(), 3u * 4u);
+  EXPECT_LE(f.manager.protocol().locked_count(), 3u * 4u);
 }
 
 }  // namespace

@@ -24,7 +24,9 @@
 //
 //   omig_node --cluster N [--scenario NAME [--sources S] [--objects K]
 //             [--bursts B] [--seed X] [--threads T]]
-//             [--policy conventional|placement|adaptive|adaptive-load]
+//             [--policy sedentary|conventional|placement|compare-nodes|
+//                       compare-reinstantiate|load-share|adaptive|
+//                       adaptive-load]
 //             [--hysteresis X] [--transport tcp|async]
 //       Spawns N child node processes and coordinates them as a remote
 //       LiveSystem. Without --scenario it drives the office workflow
@@ -54,6 +56,7 @@
 #include <variant>
 #include <vector>
 
+#include "core/config.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "net/event_loop.hpp"
@@ -81,8 +84,10 @@ int usage(const char* argv0) {
                "       %s --cluster N [--scenario NAME [--sources S]\n"
                "              [--objects K] [--bursts B] [--seed X]\n"
                "              [--threads T]]\n"
-               "              [--policy conventional|placement|adaptive|"
-               "adaptive-load]\n"
+               "              [--policy sedentary|conventional|placement|"
+               "compare-nodes|\n"
+               "                        compare-reinstantiate|load-share|"
+               "adaptive|adaptive-load]\n"
                "              [--hysteresis X] [--transport tcp|async]\n",
                argv0, argv0);
   return 2;
@@ -273,7 +278,7 @@ struct ClusterOptions {
   int threads = 4;
   std::uint64_t seed = 1;
   /// move()/visit() semantics of the coordinator (docs/policies.md).
-  runtime::MovePolicy policy = runtime::MovePolicy::Placement;
+  migration::PolicyKind policy = migration::PolicyKind::Placement;
   double hysteresis = 0.2;  ///< adaptive kinds: EMA share margin
   /// Coordinator-side transport backend (docs/transport.md): the blocking
   /// thread-per-peer client or the event-loop proactor.
@@ -282,16 +287,17 @@ struct ClusterOptions {
 
 /// One line of adaptive-policy telemetry, when the run collected any.
 void print_policy_stats(const runtime::LiveSystem& sys,
-                        runtime::MovePolicy policy) {
+                        migration::PolicyKind policy) {
   if (sys.ema_updates() == 0) return;
+  const migration::PolicyCounters c = sys.policy_counters();
   std::printf(
       "cluster policy %s: migrations=%llu suppressed=%llu/%llu "
       "reversals=%llu ema-updates=%llu\n",
-      runtime::to_string(policy),
-      static_cast<unsigned long long>(sys.policy_migrations()),
-      static_cast<unsigned long long>(sys.policy_suppressed_hysteresis()),
-      static_cast<unsigned long long>(sys.policy_suppressed_load()),
-      static_cast<unsigned long long>(sys.policy_reversals()),
+      std::string{migration::to_string(policy)}.c_str(),
+      static_cast<unsigned long long>(c.migrations_triggered),
+      static_cast<unsigned long long>(c.suppressed_hysteresis),
+      static_cast<unsigned long long>(c.suppressed_load),
+      static_cast<unsigned long long>(c.pingpong_reversals),
       static_cast<unsigned long long>(sys.ema_updates()));
 }
 
@@ -543,12 +549,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--policy") {
       const char* v = next();
       if (!v) return usage(argv[0]);
-      try {
-        cluster_opts.policy = runtime::move_policy_from_string(v);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s\n", e.what());
+      const auto policy = core::policy_from_string(v);
+      if (!policy.has_value()) {
+        std::fprintf(stderr, "unknown policy '%s'\n", v);
         return usage(argv[0]);
       }
+      cluster_opts.policy = *policy;
     } else if (arg == "--hysteresis") {
       const char* v = next();
       if (!v) return usage(argv[0]);
