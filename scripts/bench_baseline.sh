@@ -30,13 +30,11 @@ while [[ $# -gt 0 ]]; do
     --directory) MODE=directory; shift ;;
     --scenario) MODE=scenario; shift ;;
     --policy) MODE=policy; shift ;;
-    --transport) MODE=transport; shift ;;
     *) echo "usage: $0 [--label NAME] [--output FILE] [--min-time SECS]" >&2
        echo "          [--store]      # bench the durable store into BENCH_store.json" >&2
        echo "          [--directory]  # bench directory lookups into BENCH_directory.json" >&2
        echo "          [--scenario]   # bench the scenario pack into BENCH_scenario.json" >&2
        echo "          [--policy]     # bench adaptive placement into BENCH_policy.json" >&2
-       echo "          [--transport]  # bench transport backends into BENCH_transport.json" >&2
        exit 2 ;;
   esac
 done
@@ -196,110 +194,6 @@ if "adaptive_policy_delta_pct" in run:
     print(f"adaptive behavioral delta: {run['adaptive_policy_delta_pct']}%")
 PY
   rm -f "$POLICY_JSON"
-  exit 0
-fi
-
-# --transport: record transport-backend throughput (frames/sec, RTT
-# p50/p99 per backend: inproc / blocking tcp / event-loop async_tcp) and
-# the connection ladder (concurrent links vs one forked node-server
-# process, with the client's thread count and RSS at each rung) into
-# BENCH_transport.json. Echo rows are medians of 3 runs; ladder rows keep
-# the best (min-wall) run, since connect storms are the noisy part.
-if [[ "$MODE" == transport ]]; then
-  [[ "$OUT" == BENCH_kernel.json ]] && OUT=BENCH_transport.json
-  cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build "$BUILD_DIR" -j --target bench_transport >/dev/null
-  TRANSPORT_JSON=$(mktemp)
-  for rep in 1 2 3; do
-    "$BUILD_DIR/bench/bench_transport" >>"$TRANSPORT_JSON"
-  done
-  GIT_REV=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
-  LABEL="$LABEL" OUT="$OUT" TRANSPORT_JSON="$TRANSPORT_JSON" GIT_REV="$GIT_REV" \
-  python3 - <<'PY'
-import json, os, statistics
-
-reps, decoder, text, pos = [], json.JSONDecoder(), open(os.environ["TRANSPORT_JSON"]).read(), 0
-while pos < len(text):
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    if pos >= len(text):
-        break
-    doc, pos = decoder.raw_decode(text, pos)
-    reps.append(doc)
-
-echo = {}
-for doc in reps:
-    for row in doc["echo"]:
-        entry = echo.setdefault(row["backend"], {
-            "round_trips": row["round_trips"],
-            "rtt_p50_us": [], "rtt_p99_us": [], "frames_per_sec": [],
-        })
-        for key in ("rtt_p50_us", "rtt_p99_us", "frames_per_sec"):
-            entry[key].append(row[key])
-echo_rows = [
-    {
-        "backend": backend,
-        "round_trips": entry["round_trips"],
-        "rtt_p50_us": statistics.median(entry["rtt_p50_us"]),
-        "rtt_p99_us": statistics.median(entry["rtt_p99_us"]),
-        "frames_per_sec": statistics.median(entry["frames_per_sec"]),
-    }
-    for backend, entry in echo.items()
-]
-
-ladder = {}
-for doc in reps:
-    for row in doc["ladder"]:
-        key = (row["backend"], row["target_conns"])
-        best = ladder.get(key)
-        if best is None or (row["ok"] and row["wall_ms"] < best["wall_ms"]):
-            ladder[key] = row
-ladder_rows = [ladder[key] for key in sorted(ladder,
-                                             key=lambda k: (k[0], k[1]))]
-
-out = os.environ["OUT"]
-doc = {}
-if os.path.exists(out):
-    with open(out) as f:
-        doc = json.load(f)
-doc.setdefault("bench", "transport-backends")
-doc.setdefault("recipe", {
-    "build": "Release",
-    "transport": "bench_transport (forked LiveNode+NodeServer process; "
-                 "2k serial + 20k pipelined round trips per backend, "
-                 "window 256; ladder 100/1000 tcp, 100/1000/10000 "
-                 "async_tcp; echo medians of 3 runs)",
-    "headline": "async_tcp sustains the 10k-connection rung on one loop "
-                "thread; blocking tcp pays one OS thread per connection",
-})
-run = {
-    "git": os.environ["GIT_REV"],
-    "nproc": os.cpu_count(),
-    "echo": echo_rows,
-    "ladder": ladder_rows,
-}
-by_backend = {r["backend"]: r for r in echo_rows}
-if "tcp" in by_backend and "async_tcp" in by_backend:
-    run["async_vs_tcp_frames_ratio"] = round(
-        by_backend["async_tcp"]["frames_per_sec"] /
-        by_backend["tcp"]["frames_per_sec"], 3)
-best_conns = {}
-for r in ladder_rows:
-    if r["ok"]:
-        best_conns[r["backend"]] = max(best_conns.get(r["backend"], 0),
-                                       r["connected"])
-run["max_sustained_conns"] = best_conns
-doc.setdefault("runs", {})[os.environ["LABEL"]] = run
-with open(out, "w") as f:
-    json.dump(doc, f, indent=2, sort_keys=False)
-    f.write("\n")
-print(f"wrote {out} [{os.environ['LABEL']}]")
-for r in echo_rows:
-    print(f"  {r['backend']}: {r['frames_per_sec']:.0f} frames/s, "
-          f"p99 {r['rtt_p99_us']:.1f} us")
-print(f"  max sustained connections: {best_conns}")
-PY
-  rm -f "$TRANSPORT_JSON"
   exit 0
 fi
 

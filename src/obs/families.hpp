@@ -45,8 +45,7 @@ struct RuntimeMetrics {
 [[nodiscard]] RuntimeMetrics& runtime_metrics();
 
 /// Transport layer (wire frames over sockets). Per-peer RTT histograms
-/// are registered lazily by TcpTransport under
-/// omig_transport_rtt_us{peer="N"}.
+/// are registered by AsyncTcpTransport under omig_transport_rtt_us{peer="N"}.
 struct TransportMetrics {
   Counter* frames_out;
   Counter* frames_in;

@@ -91,22 +91,14 @@ bool LiveNode::running() const {
 }
 
 void LiveNode::run() {
-  for (;;) {
-    auto msg = mailbox_.pop();
-    if (!msg) return;
+  // Ends once the mailbox is closed and drained (stop, or a shutdown).
+  while (auto msg = mailbox_.pop()) {
     processed_.fetch_add(1, std::memory_order_relaxed);
-    bool stop = false;
     std::visit(
-        [&](auto& m) {
-          using T = std::decay_t<decltype(m)>;
-          if constexpr (std::is_same_v<T, MsgStop>) {
-            stop = true;
-          } else {
-            handle(m);
-          }
+        [this](auto& envelope) {
+          envelope.reply.set_value(handle(envelope.body));
         },
         *msg);
-    if (stop) return;
   }
 }
 
@@ -123,7 +115,7 @@ void LiveNode::remember(std::unordered_map<std::uint64_t, V>& cache,
   }
 }
 
-void LiveNode::handle(MsgInvoke& msg) {
+InvokeResult LiveNode::handle(const transport::WireInvoke& msg) {
   obs::node_metrics().invokes->inc();
   if (msg.seq != 0) {
     auto cached = invoke_replies_.find(msg.seq);
@@ -132,8 +124,7 @@ void LiveNode::handle(MsgInvoke& msg) {
       // cache, never run the method twice.
       deduped_.fetch_add(1, std::memory_order_relaxed);
       obs::node_metrics().dedup_hits->inc();
-      msg.reply.set_value(cached->second);
-      return;
+      return cached->second;
     }
   }
   InvokeResult result;
@@ -146,10 +137,10 @@ void LiveNode::handle(MsgInvoke& msg) {
   if (msg.seq != 0) {
     remember(invoke_replies_, invoke_order_, msg.seq, result);
   }
-  msg.reply.set_value(std::move(result));
+  return result;
 }
 
-void LiveNode::handle(MsgInstall& msg) {
+bool LiveNode::handle(transport::WireInstall& msg) {
   obs::node_metrics().installs->inc();
   if (msg.seq != 0) {
     auto seen = installed_seq_.find(msg.name);
@@ -157,46 +148,36 @@ void LiveNode::handle(MsgInstall& msg) {
       // Duplicate of an install we already applied: just acknowledge.
       deduped_.fetch_add(1, std::memory_order_relaxed);
       obs::node_metrics().dedup_hits->inc();
-      msg.done.set_value(true);
-      return;
+      return true;
     }
   }
   auto fit = factories_->find(msg.state.type);
-  if (fit == factories_->end()) {
-    msg.done.set_value(false);
-    return;
-  }
+  if (fit == factories_->end()) return false;
   if (store_ != nullptr) {
     // WAL first, ack second: once the sender sees `true`, this install
     // survives SIGKILL. A dead store (injected power loss) refuses the
     // install outright — the sender retries against the relaunch.
     const auto outcome =
         store_->checkpoint(msg.name, id_, 0, encode(msg.state));
-    if (!outcome.applied) {
-      msg.done.set_value(false);
-      return;
-    }
+    if (!outcome.applied) return false;
   }
   objects_[msg.name] = fit->second(msg.name, std::move(msg.state));
   if (msg.seq != 0) installed_seq_[msg.name] = msg.seq;
   hosted_.fetch_add(1, std::memory_order_relaxed);
   obs::node_metrics().hosted_objects->add(1);
-  msg.done.set_value(true);
+  return true;
 }
 
-void LiveNode::handle(MsgDirLookup& msg) {
+transport::DirEntry LiveNode::handle(const transport::WireDirLookup& msg) {
   // Read-only and idempotent: no dedup needed. Answers from whatever this
   // node serves — its shard slice or a forwarding hint left behind by a
   // departed object; both live in the same table.
   auto it = dir_entries_.find(msg.name);
-  if (it == dir_entries_.end()) {
-    msg.reply.set_value(DirReply{false, 0});
-    return;
-  }
-  msg.reply.set_value(DirReply{true, it->second});
+  if (it == dir_entries_.end()) return transport::DirEntry{false, 0};
+  return transport::DirEntry{true, it->second};
 }
 
-void LiveNode::handle(MsgDirUpdate& msg) {
+bool LiveNode::handle(const transport::WireDirUpdate& msg) {
   // Idempotent: the update carries the absolute new value (or drops the
   // entry), so a retransmission converges to the same state.
   if (msg.invalidate) {
@@ -205,10 +186,10 @@ void LiveNode::handle(MsgDirUpdate& msg) {
     dir_entries_[msg.name] = msg.node;
   }
   dir_entry_count_.store(dir_entries_.size(), std::memory_order_relaxed);
-  msg.done.set_value(DirAck{true});
+  return true;
 }
 
-void LiveNode::handle(MsgEvict& msg) {
+ObjectState LiveNode::handle(const transport::WireEvict& msg) {
   obs::node_metrics().evicts->inc();
   if (msg.seq != 0) {
     auto cached = evicted_states_.find(msg.seq);
@@ -217,15 +198,11 @@ void LiveNode::handle(MsgEvict& msg) {
       // captured by the first delivery.
       deduped_.fetch_add(1, std::memory_order_relaxed);
       obs::node_metrics().dedup_hits->inc();
-      msg.state.set_value(cached->second);
-      return;
+      return cached->second;
     }
   }
   auto it = objects_.find(msg.name);
-  if (it == objects_.end()) {
-    msg.state.set_value(ObjectState{});  // empty type signals failure
-    return;
-  }
+  if (it == objects_.end()) return ObjectState{};  // empty type: failure
   ObjectState state = it->second->linearize();
   objects_.erase(it);
   hosted_.fetch_sub(1, std::memory_order_relaxed);
@@ -239,7 +216,7 @@ void LiveNode::handle(MsgEvict& msg) {
   if (msg.seq != 0) {
     remember(evicted_states_, evict_order_, msg.seq, state);
   }
-  msg.state.set_value(std::move(state));
+  return state;
 }
 
 }  // namespace omig::runtime

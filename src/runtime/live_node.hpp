@@ -79,11 +79,12 @@ public:
 
 private:
   void run();
-  void handle(MsgInvoke& msg);
-  void handle(MsgInstall& msg);
-  void handle(MsgEvict& msg);
-  void handle(MsgDirLookup& msg);
-  void handle(MsgDirUpdate& msg);
+  // One handler per request kind: takes the body, returns the reply value.
+  InvokeResult handle(const transport::WireInvoke& msg);
+  bool handle(transport::WireInstall& msg);
+  ObjectState handle(const transport::WireEvict& msg);
+  transport::DirEntry handle(const transport::WireDirLookup& msg);
+  bool handle(const transport::WireDirUpdate& msg);
   /// Inserts into a seq-keyed cache, evicting the oldest entry beyond the
   /// retention bound (enough to cover any plausible retransmission window).
   template <class V>

@@ -2,10 +2,11 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 
-#include "runtime/message.hpp"
+#include "runtime/object_state.hpp"
 
 namespace omig::runtime {
 

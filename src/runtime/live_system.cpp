@@ -10,7 +10,6 @@
 #include "transport/bridge.hpp"
 #include "transport/node_server.hpp"
 #include "transport/async_tcp_transport.hpp"
-#include "transport/tcp_transport.hpp"
 #include "util/assert.hpp"
 
 namespace omig::runtime {
@@ -114,14 +113,11 @@ void LiveSystem::start() {
 
   // All inter-node traffic goes through one transport; faults inject at
   // this seam, so the same FaultPlan drives every backend identically.
-  if (remote() || options_.transport != TransportKind::InProc) {
-    const bool async = options_.transport == TransportKind::AsyncTcp;
-    if (async) {
-      // One proactor loop carries the whole process: every NodeServer's
-      // accept/read/write and the client transport's connections.
-      net_loop_ = std::make_unique<net::EventLoop>();
-      net_loop_->start();
-    }
+  if (remote() || options_.transport == TransportKind::AsyncTcp) {
+    // One proactor loop carries the whole process: every NodeServer's
+    // accept/read/write and the client transport's connections.
+    net_loop_ = std::make_unique<net::EventLoop>();
+    net_loop_->start();
     std::vector<transport::Peer> peers;
     if (remote()) {
       peers = options_.remote_nodes;
@@ -143,26 +139,13 @@ void LiveSystem::start() {
         peers.push_back(transport::Peer{"127.0.0.1", port});
       }
     }
-    if (async) {
-      transport::AsyncTcpTransport::Options topts;
-      topts.peers = std::move(peers);
-      topts.max_connect_attempts = options_.tcp_connect_attempts;
-      topts.connect_backoff = options_.tcp_connect_backoff;
-      topts.loop = net_loop_.get();
-      auto tcp = std::make_unique<transport::AsyncTcpTransport>(
-          std::move(topts), injector_.get());
-      tcp_ = tcp.get();
-      transport_ = std::move(tcp);
-    } else {
-      transport::TcpTransport::Options topts;
-      topts.peers = std::move(peers);
-      topts.max_connect_attempts = options_.tcp_connect_attempts;
-      topts.connect_backoff = options_.tcp_connect_backoff;
-      auto tcp = std::make_unique<transport::TcpTransport>(std::move(topts),
-                                                           injector_.get());
-      tcp_ = tcp.get();
-      transport_ = std::move(tcp);
-    }
+    transport::AsyncTcpTransport::Options topts;
+    topts.peers = std::move(peers);
+    topts.loop = net_loop_.get();
+    auto tcp = std::make_unique<transport::AsyncTcpTransport>(
+        std::move(topts), injector_.get());
+    tcp_ = tcp.get();
+    transport_ = std::move(tcp);
   } else {
     transport_ = std::make_unique<transport::InProcTransport>(
         [this](std::size_t to) {
@@ -268,10 +251,9 @@ void LiveSystem::run_fault_schedule() {
 
 bool LiveSystem::sent_ok(transport::SendStatus status) {
   if (status == transport::SendStatus::Ok) return true;
-  // The endpoint rejected the message outright (closed mailbox, connection
-  // reset, unreachable peer): no delivery was attempted, so the retry
-  // layer can count the rejection instead of inferring it from a broken
-  // promise.
+  // The endpoint rejected the message outright (closed mailbox, oversized
+  // frame, unknown peer): no delivery was attempted, so the retry layer
+  // can count the rejection instead of inferring it from a broken promise.
   send_rejections_.fetch_add(1, std::memory_order_relaxed);
   obs::runtime_metrics().send_rejections->inc();
   return false;
@@ -294,21 +276,23 @@ std::optional<T> LiveSystem::await_reply(std::future<T>& reply) {
   }
 }
 
-template <class T, class Send>
-std::optional<T> LiveSystem::deliver(Send send, bool stop_on_rejection) {
+template <transport::Request Req>
+std::optional<typename Req::Reply> LiveSystem::deliver(
+    std::size_t from, std::size_t to, Req request, bool stop_on_rejection) {
+  request.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
     if (attempt > 0) {
       retries_.fetch_add(1, std::memory_order_relaxed);
       obs::runtime_metrics().retries->inc();
       backoff(attempt);
     }
-    std::future<T> reply;
-    if (!sent_ok(send(reply))) {
+    std::future<typename Req::Reply> reply;
+    if (!sent_ok(transport_->send(from, to, request, reply))) {
       // The node is down; it may restart within the retry budget.
       if (stop_on_rejection) break;
       continue;
     }
-    if (std::optional<T> got = await_reply(reply)) return got;
+    if (auto got = await_reply(reply)) return got;
   }
   return std::nullopt;
 }
@@ -327,13 +311,9 @@ bool LiveSystem::faults_active() const {
 bool LiveSystem::install_with_retry(std::size_t node, const std::string& name,
                                     const ObjectState& state,
                                     std::size_t from) {
-  transport::WireInstall msg;
-  msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  msg.name = name;
-  msg.state = state;
-  return deliver<bool>([&](std::future<bool>& reply) {
-           return transport_->send_install(from, node, msg, reply);
-         }).value_or(false);
+  return deliver(from, node,
+                 transport::WireInstall{.name = name, .state = state})
+      .value_or(false);
 }
 
 double LiveSystem::now() const {
@@ -485,18 +465,10 @@ InvokeResult LiveSystem::invoke_impl(std::optional<std::size_t> from,
         std::this_thread::sleep_for(options_.remote_latency);
       }
     }
-    // One logical request: every retransmission reuses this seq, so the
-    // hosting node executes the method at most once.
-    transport::WireInvoke msg;
-    msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    msg.object = object;
-    msg.method = method;
-    msg.argument = argument;
     const std::optional<InvokeResult> result =
-        deliver<InvokeResult>([&](std::future<InvokeResult>& reply) {
-          return transport_->send_invoke(from.value_or(kExternalSender), node,
-                                         msg, reply);
-        });
+        deliver(from.value_or(kExternalSender), node,
+                transport::WireInvoke{
+                    .object = object, .method = method, .argument = argument});
     if (!result.has_value()) {
       return InvokeResult{
           false, "node unreachable: " + std::to_string(node) + " (" + object +
@@ -607,14 +579,9 @@ void LiveSystem::relocate(const std::vector<ObjectId>& objects,
 
     // Pull the state off the source; the request travels dest -> src. A
     // dead source ends the attempts early — recovery takes over below.
-    transport::WireEvict evict;
-    evict.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    evict.name = name;
-    std::optional<ObjectState> state = deliver<ObjectState>(
-        [&](std::future<ObjectState>& reply) {
-          return transport_->send_evict(dest, src, evict, reply);
-        },
-        /*stop_on_rejection=*/true);
+    std::optional<ObjectState> state =
+        deliver(dest, src, transport::WireEvict{.name = name},
+                /*stop_on_rejection=*/true);
 
     if (!state.has_value() || state->type.empty()) {
       // The source is unreachable or lost the object with a crash: recover
@@ -824,12 +791,9 @@ void LiveSystem::restart_node(std::size_t node) {
       // stand-in does the same, and the transport is re-pointed at it.
       const std::uint16_t port = servers_[node]->start();
       OMIG_REQUIRE(port != 0, "could not rebind the node's listener");
-      if (tcp_ != nullptr) {
-        tcp_->set_peer(node, transport::Peer{"127.0.0.1", port});
-      }
+      tcp_->set_peer(node, transport::Peer{"127.0.0.1", port});
     }
   }
-  transport_->on_node_restart(node);
   // Reconcile the directory with the freshly-empty node: reinstall every
   // object placed there from its checkpoint. In-transit objects are
   // skipped — their migration is in progress and settles them itself.
@@ -881,29 +845,18 @@ bool LiveSystem::dir_update(std::size_t target, const std::string& name,
                             std::size_t node, bool invalidate) {
   dir_updates_.fetch_add(1, std::memory_order_relaxed);
   obs::dir_metrics().updates->inc();
-  transport::WireDirUpdate msg;
-  msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  msg.name = name;
-  msg.node = static_cast<std::uint64_t>(node);
-  msg.invalidate = invalidate;
   // An unreachable target stays stale; restart reconciliation re-seeds it.
-  const std::optional<DirAck> ack =
-      deliver<DirAck>([&](std::future<DirAck>& reply) {
-        return transport_->send_dir_update(kExternalSender, target, msg,
-                                           reply);
-      });
-  return ack.has_value() && ack->ok;
+  return deliver(kExternalSender, target,
+                 transport::WireDirUpdate{
+                     .name = name,
+                     .node = static_cast<std::uint64_t>(node),
+                     .invalidate = invalidate})
+      .value_or(false);
 }
 
-std::optional<DirReply> LiveSystem::dir_lookup(std::size_t from,
-                                               std::size_t target,
-                                               const std::string& name) {
-  transport::WireDirLookup msg;
-  msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  msg.name = name;
-  return deliver<DirReply>([&](std::future<DirReply>& reply) {
-    return transport_->send_dir_lookup(from, target, msg, reply);
-  });
+std::optional<transport::DirEntry> LiveSystem::dir_lookup(
+    std::size_t from, std::size_t target, const std::string& name) {
+  return deliver(from, target, transport::WireDirLookup{.name = name});
 }
 
 std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,

@@ -10,10 +10,11 @@
 //
 // All inter-node traffic goes through a transport::Transport
 // (docs/transport.md). The default InProc backend delivers straight into
-// the node mailboxes; the Tcp backend marshals every request into a wire
-// frame and sends it over a localhost socket — either to NodeServers
-// bridging back into this process's own nodes, or (remote mode) to
-// omig_node processes, which makes the system a cluster coordinator.
+// the node mailboxes; the AsyncTcp backend encodes every request into a
+// wire frame and sends it over a localhost socket from one event loop —
+// either to NodeServers bridging back into this process's own nodes, or
+// (remote mode) to omig_node processes, which makes the system a cluster
+// coordinator.
 //
 // Failure model (all off by default; see docs/fault_model.md): a
 // FaultPlan perturbs message delivery (drop / delay / duplicate) and
@@ -62,21 +63,18 @@ class EventLoop;
 }
 
 namespace omig::transport {
+class AsyncTcpTransport;
 class NodeServer;
-class SocketTransport;
 }
 
 namespace omig::runtime {
 
 /// Which backend carries inter-node traffic. When Options::remote_nodes
-/// is set, InProc is meaningless and upgrades to Tcp; AsyncTcp is
-/// honoured in remote mode too.
+/// is set, InProc is meaningless and upgrades to AsyncTcp.
 enum class TransportKind : std::uint8_t {
-  InProc,    ///< promise-carrying messages straight into the mailboxes
-  Tcp,       ///< wire frames over localhost sockets, blocking I/O +
-             ///< one reader thread per peer (NodeServer per node)
-  AsyncTcp,  ///< same wire frames, all I/O multiplexed on one
-             ///< net::EventLoop shared by the client side and servers
+  InProc,    ///< enveloped requests straight into the mailboxes
+  AsyncTcp,  ///< wire frames over localhost sockets (a NodeServer per
+             ///< node), all I/O multiplexed on one net::EventLoop
 };
 
 class LiveSystem : private migration::ObjectView {
@@ -130,10 +128,6 @@ public:
     /// local node threads (`nodes` is ignored) and coordinates the cluster
     /// over TCP.
     std::vector<transport::Peer> remote_nodes;
-    /// TCP backend: connect attempts per send and their base backoff
-    /// (doubled per attempt, capped) — the reconnect budget after a reset.
-    int tcp_connect_attempts = 4;
-    std::chrono::milliseconds tcp_connect_backoff{1};
     /// Optional protocol-event trace, recorded at the directory layer on a
     /// logical clock so the same workload yields the same trace under
     /// every transport backend. Non-owning; must outlive the system.
@@ -306,8 +300,10 @@ public:
   [[nodiscard]] std::uint64_t duplicated_messages() const;
   /// Messages answered from the nodes' dedup caches.
   [[nodiscard]] std::uint64_t deduplicated_messages() const;
-  /// Sends the transport rejected with a typed status (closed mailbox,
-  /// connection reset, unreachable peer) — each one fed a retry decision.
+  /// Sends the transport rejected with a typed status (a crashed in-proc
+  /// node's closed mailbox, an oversized frame) — each one fed a retry
+  /// decision. A dead socket peer shows up as retries() instead: its
+  /// replies are lost, not rejected.
   [[nodiscard]] std::uint64_t send_rejections() const;
   /// TCP connections re-established after a reset (0 for in-proc).
   [[nodiscard]] std::uint64_t transport_reconnects() const;
@@ -432,12 +428,15 @@ private:
                            const std::string& method,
                            const std::string& argument);
 
-  /// Sends one request under the bounded retry budget: `send(reply)` issues
-  /// an attempt; each retry re-sends (same sequence number) after an
+  /// Sends `request` from `from` to `to` under the bounded retry budget.
+  /// The request gets a fresh sequence number that every retry reuses, so
+  /// the receiving node applies it at most once; retries follow an
   /// exponential backoff. nullopt = the peer stayed unreachable — or, with
   /// `stop_on_rejection`, rejected the first attempt outright.
-  template <class T, class Send>
-  std::optional<T> deliver(Send send, bool stop_on_rejection = false);
+  template <transport::Request Req>
+  std::optional<typename Req::Reply> deliver(std::size_t from, std::size_t to,
+                                             Req request,
+                                             bool stop_on_rejection = false);
 
   /// True when the transport accepted the send; a typed rejection is
   /// counted and the caller retries (the peer may come back).
@@ -485,8 +484,9 @@ private:
   bool dir_update(std::size_t target, const std::string& name,
                   std::size_t node, bool invalidate);
   /// One directory lookup served by `target`; nullopt = unreachable.
-  std::optional<DirReply> dir_lookup(std::size_t from, std::size_t target,
-                                     const std::string& name);
+  std::optional<transport::DirEntry> dir_lookup(std::size_t from,
+                                                std::size_t target,
+                                                const std::string& name);
   /// Resolves an object's node through cache -> forwarding chase -> shard
   /// owner -> central-map fallback. `stale` names a node an invoke just
   /// found empty, triggering invalidation and a hint chase from there.
@@ -546,8 +546,8 @@ private:
   /// One frame server per local node in TCP mode (empty otherwise).
   std::vector<std::unique_ptr<transport::NodeServer>> servers_;
   std::unique_ptr<transport::Transport> transport_;
-  /// transport_, when it is a socket backend (blocking or async).
-  transport::SocketTransport* tcp_ = nullptr;
+  /// transport_, when it is the socket backend.
+  transport::AsyncTcpTransport* tcp_ = nullptr;
 
   std::mutex stop_mutex_;
   std::thread fault_thread_;

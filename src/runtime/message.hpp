@@ -1,111 +1,45 @@
-// Messages exchanged between live-runtime nodes.
+// The message a live node's mailbox carries.
 //
-// The live runtime (src/runtime/) is the beyond-paper counterpart of the
-// simulator: the same primitives (invoke, migrate, move/end with placement,
-// attachments) running on real threads with real mailboxes. Objects are
-// linearised into an ObjectState for transfer, exactly as Section 3.1
-// describes proxies linearising calls and objects.
+// A request has one form wherever it travels, as the proxies of Section
+// 3.1 linearise a call into one form: the Wire* bodies of transport/wire.
+// In-process a body rides in an Envelope next to the promise its reply
+// fulfils; over a socket the same body is encoded into a frame and the
+// promise waits at the sender for the reply frame.
 #pragma once
 
-#include <cstdint>
 #include <future>
-#include <string>
-#include <unordered_map>
+#include <type_traits>
+#include <utility>
 #include <variant>
+
+#include "transport/wire.hpp"
 
 namespace omig::runtime {
 
-/// Linearised object: its type tag plus a string property bag. The type tag
-/// selects the factory that rebuilds behaviour at the destination node.
-struct ObjectState {
-  std::string type;
-  std::unordered_map<std::string, std::string> fields;
-
-  friend bool operator==(const ObjectState&, const ObjectState&) = default;
+/// One request plus the promise its reply fulfils. An envelope destroyed
+/// unanswered breaks the promise — the "lost in flight" signal the retry
+/// layer reads (injected drop, crashed node, closed mailbox, reset link).
+template <transport::Request Req>
+struct Envelope {
+  Req body;
+  std::promise<typename Req::Reply> reply;
 };
 
-/// Result of an invocation: either a payload or an error description.
-struct InvokeResult {
-  bool ok = false;
-  std::string value;  ///< payload on success, error text on failure
+/// What a node mailbox carries: every request kind, each in its envelope.
+using Message = std::variant<Envelope<transport::WireInvoke>,
+                             Envelope<transport::WireInstall>,
+                             Envelope<transport::WireEvict>,
+                             Envelope<transport::WireDirLookup>,
+                             Envelope<transport::WireDirUpdate>>;
 
-  friend bool operator==(const InvokeResult&, const InvokeResult&) = default;
-};
-
-/// Synchronous method invocation, replied to via the promise.
-///
-/// `seq` identifies the logical request: a retransmission (after a lost
-/// message or a crashed node) reuses the seq of the original, and the
-/// receiving node deduplicates — the method body runs at most once, the
-/// duplicate is answered from a bounded reply cache. seq 0 disables
-/// deduplication (single-delivery fast path).
-struct MsgInvoke {
-  std::string object;
-  std::string method;
-  std::string argument;
-  std::uint64_t seq = 0;
-  std::promise<InvokeResult> reply;
-};
-
-/// Installs a (migrated or new) object on the receiving node. Idempotent
-/// per seq: a duplicate install of the same (name, seq) is acknowledged
-/// without rebuilding the object.
-struct MsgInstall {
-  std::string name;
-  ObjectState state;
-  std::uint64_t seq = 0;
-  std::promise<bool> done;
-};
-
-/// Evicts an object: the node linearises it, removes it, and replies with
-/// the state (empty type on failure). Idempotent per seq: a duplicate
-/// evict replies with the state captured by the first delivery.
-struct MsgEvict {
-  std::string name;
-  std::uint64_t seq = 0;
-  std::promise<ObjectState> state;
-};
-
-/// Answer to a directory lookup: whether this node has an entry for the
-/// object (shard-slice record or forwarding hint), and where it points.
-struct DirReply {
-  bool found = false;
-  std::uint64_t node = 0;
-
-  friend bool operator==(const DirReply&, const DirReply&) = default;
-};
-
-/// Acknowledgement of a directory update.
-struct DirAck {
-  bool ok = false;
-
-  friend bool operator==(const DirAck&, const DirAck&) = default;
-};
-
-/// Asks this node for its directory entry for `name` — it answers from its
-/// shard slice / forwarding hints (DirectoryKind::Sharded only,
-/// docs/directory.md). Read-only and idempotent; seq is carried for
-/// symmetry with the other requests but needs no dedup.
-struct MsgDirLookup {
-  std::string name;
-  std::uint64_t seq = 0;
-  std::promise<DirReply> reply;
-};
-
-/// Installs (or, with `invalidate`, drops) this node's directory entry for
-/// `name`. Idempotent: the update carries the absolute new value.
-struct MsgDirUpdate {
-  std::string name;
-  std::uint64_t node = 0;
-  bool invalidate = false;
-  std::uint64_t seq = 0;
-  std::promise<DirAck> done;
-};
-
-/// Stops the node's event loop.
-struct MsgStop {};
-
-using Message = std::variant<MsgInvoke, MsgInstall, MsgEvict, MsgDirLookup,
-                             MsgDirUpdate, MsgStop>;
+/// Envelops `body` — copied or moved straight into the message — and arms
+/// `reply` with its answer's future.
+template <class Body, transport::Request Req = std::remove_cvref_t<Body>>
+[[nodiscard]] Message envelop(Body&& body,
+                              std::future<typename Req::Reply>& reply) {
+  Message message{std::in_place_type<Envelope<Req>>, std::forward<Body>(body)};
+  reply = std::get<Envelope<Req>>(message).reply.get_future();
+  return message;
+}
 
 }  // namespace omig::runtime

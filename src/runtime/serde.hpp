@@ -12,7 +12,7 @@
 #include <span>
 #include <vector>
 
-#include "runtime/message.hpp"
+#include "runtime/object_state.hpp"
 
 namespace omig::runtime {
 

@@ -9,9 +9,28 @@
 
 namespace omig::transport {
 
+namespace {
+
+/// Fulfils a parked envelope's promise from a reply frame. False when the
+/// frame does not answer that request kind — a protocol violation that
+/// costs the peer its connection.
+bool fulfil(runtime::Message& parked, Frame::Payload&& payload) {
+  return std::visit(
+      [&](auto& envelope) {
+        using Req = decltype(envelope.body);
+        auto* reply = std::get_if<WireReply<Req>>(&payload);
+        if (reply == nullptr) return false;
+        envelope.reply.set_value(std::move(reply->result));
+        return true;
+      },
+      parked);
+}
+
+}  // namespace
+
 AsyncTcpTransport::AsyncTcpTransport(Options options,
                                      fault::FaultInjector* injector)
-    : SocketTransport{injector}, options_{std::move(options)} {
+    : Transport{injector}, options_{std::move(options)} {
   if (options_.loop != nullptr) {
     loop_ = options_.loop;
   } else {
@@ -41,74 +60,41 @@ AsyncTcpTransport::~AsyncTcpTransport() {
   if (owned_loop_) owned_loop_->stop();
 }
 
-SendStatus AsyncTcpTransport::send_invoke(
-    std::size_t from, std::size_t to, const WireInvoke& msg,
-    std::future<runtime::InvokeResult>& reply) {
-  return send_request(from, to, msg, reply);
-}
-
-SendStatus AsyncTcpTransport::send_install(std::size_t from, std::size_t to,
-                                           const WireInstall& msg,
-                                           std::future<bool>& reply) {
-  return send_request(from, to, msg, reply);
-}
-
-SendStatus AsyncTcpTransport::send_evict(
-    std::size_t from, std::size_t to, const WireEvict& msg,
-    std::future<runtime::ObjectState>& reply) {
-  return send_request(from, to, msg, reply);
-}
-
-SendStatus AsyncTcpTransport::send_dir_lookup(
-    std::size_t from, std::size_t to, const WireDirLookup& msg,
-    std::future<runtime::DirReply>& reply) {
-  return send_request(from, to, msg, reply);
-}
-
-SendStatus AsyncTcpTransport::send_dir_update(
-    std::size_t from, std::size_t to, const WireDirUpdate& msg,
-    std::future<runtime::DirAck>& reply) {
-  return send_request(from, to, msg, reply);
-}
-
-template <class WireT, class ReplyT>
-SendStatus AsyncTcpTransport::send_request(std::size_t from, std::size_t to,
-                                           const WireT& msg,
-                                           std::future<ReplyT>& reply) {
+SendStatus AsyncTcpTransport::send(std::size_t from, std::size_t to,
+                                   runtime::Message message) {
   if (to >= conns_.size()) return SendStatus::Unreachable;
   if (stopping_.load(std::memory_order_acquire)) {
     obs::transport_metrics().send_rejections->inc();
     return SendStatus::Closed;
   }
-  // Same verdict order as the other backends — decide, delay, drop, dup —
-  // and crucially decide() runs here on the caller's thread, so the
-  // injector's RNG stream is consumed in the same order as under the
-  // blocking backend (trace parity depends on this). The delay itself
-  // becomes a loop timer instead of a caller sleep.
+  // Same verdict order as in-proc — decide, delay, drop, dup — and
+  // decide() runs here on the caller's thread, so the injector's RNG
+  // stream is consumed in caller order (trace parity depends on this).
+  // The delay itself becomes a loop timer instead of a caller sleep.
   const fault::Decision verdict = decide(from, to);
-  if (verdict.drop) {
-    break_reply(reply);
-    return SendStatus::Ok;  // "sent", but lost in flight
-  }
+  // "Sent", but lost in flight: the message dies here, its reply breaks.
+  if (verdict.drop) return SendStatus::Ok;
   auto box = std::make_shared<Enqueue>();
   box->to = to;
-  if (verdict.duplicate) {
-    // Same-seq copy under a fresh correlation ID with no pending entry,
-    // allocated before the original's ID — the order the blocking
-    // backend writes them in.
-    box->dup_bytes = encode_frame(
-        Frame{next_corr_.fetch_add(1, std::memory_order_relaxed), msg});
-  }
-  box->corr = next_corr_.fetch_add(1, std::memory_order_relaxed);
-  box->bytes = encode_frame(Frame{box->corr, msg});
-  std::promise<ReplyT> promise;
-  reply = promise.get_future();
+  std::visit(
+      [&](auto& envelope) {
+        if (verdict.duplicate) {
+          // Same-seq copy under a fresh correlation ID with nothing
+          // parked for it, allocated before the original's ID.
+          box->dup_bytes = encode_frame(Frame{
+              next_corr_.fetch_add(1, std::memory_order_relaxed),
+              envelope.body});
+        }
+        box->corr = next_corr_.fetch_add(1, std::memory_order_relaxed);
+        box->bytes = encode_frame(Frame{box->corr, std::move(envelope.body)});
+      },
+      message);
   if (box->bytes.size() - 4 > kMaxFramePayload) {
     obs::transport_metrics().send_rejections->inc();
-    return SendStatus::Oversized;  // promise dies here: `reply` breaks,
-                                   // the typed status is the signal
+    return SendStatus::Oversized;  // the message dies here: its reply
+                                   // breaks, the typed status is the signal
   }
-  box->promise = PendingReply{std::move(promise)};
+  box->envelope = std::move(message);
   post_enqueue(std::move(box), verdict.delay);
   return SendStatus::Ok;
 }
@@ -166,10 +152,10 @@ void AsyncTcpTransport::post_enqueue(std::shared_ptr<Enqueue> box,
 void AsyncTcpTransport::enqueue_on_loop(Enqueue& e) {
   if (stopping_.load(std::memory_order_acquire)) return;  // promise breaks
   Conn& conn = *conns_[e.to];
-  if (e.promise.has_value()) {
+  if (e.envelope.has_value()) {
     conn.pending.emplace(e.corr,
-                         Pending{std::move(*e.promise),
-                                 std::chrono::steady_clock::now()});
+                         Parked{std::move(*e.envelope),
+                                std::chrono::steady_clock::now()});
   }
   if (e.dup_bytes.has_value()) {
     conn.outq.push_back(Out{std::move(*e.dup_bytes), std::nullopt});
@@ -250,8 +236,7 @@ sim::Task AsyncTcpTransport::connect_task(AsyncTcpTransport* t, Conn* conn) {
     co_return;
   }
   // Budget exhausted (or shutdown): everyone awaiting a reply on this
-  // link gets the typed-rejection accounting the blocking backend gives
-  // its Unreachable senders, then the broken-promise loss signal.
+  // link is counted as rejected, then gets the broken-promise loss signal.
   conn->connecting = false;
   for (std::size_t i = 0; i < conn->pending.size(); ++i) {
     obs::transport_metrics().send_rejections->inc();
@@ -322,7 +307,7 @@ sim::Task AsyncTcpTransport::reader_task(AsyncTcpTransport* t, Conn* conn,
               std::chrono::steady_clock::now() - it->second.sent_at)
               .count()));
       const bool matched =
-          fulfil_pending(it->second.promise, std::move(frame->payload));
+          fulfil(it->second.envelope, std::move(frame->payload));
       conn->pending.erase(it);
       if (!matched) {
         t->fail_conn(*conn);  // type-confused peer: drop the connection

@@ -1,29 +1,28 @@
-// Event-loop TCP backend of the transport seam: the same wire protocol,
-// correlation-ID matching and fault semantics as TcpTransport, but all
-// I/O multiplexed onto one net::EventLoop instead of one reader thread
-// per peer plus blocking sends.
+// Socket backend of the transport seam: wire frames over localhost TCP,
+// with all I/O multiplexed onto one net::EventLoop.
 //
 // Execution model: the caller's thread runs only the synchronous part of
 // a send — the fault injector's decide() (so the injector's RNG stream
-// is consumed in exactly the same order as the blocking backend, which
-// is what keeps traces byte-identical), frame encoding, and the
+// is consumed in caller order, exactly as in-proc, which is what keeps
+// traces byte-identical across backends), frame encoding, and the
 // Oversized check. The encoded bytes then hop onto the loop, where all
 // per-connection state lives lock-free on the loop thread:
 //
-//   connect coroutine — nonblocking dial with the same bounded
-//       exponential backoff, but the backoff is a loop timer, not a
-//       sleeping thread;
+//   connect coroutine — nonblocking dial with bounded exponential
+//       backoff; the backoff is a loop timer, not a sleeping thread;
 //   writer coroutine  — drains the connection's output queue with
 //       nonblocking writes, parking on a net::Event when idle and on
 //       writability when the socket pushes back;
-//   reader coroutine  — one per connection (instead of one thread),
-//       feeds a FrameBuffer and fulfils pending replies by corr ID.
+//   reader coroutine  — one per connection, feeds a FrameBuffer and
+//       fulfils parked replies by correlation ID. A reply nobody waits for
+//       (an injected duplicate's answer) is discarded; a malformed or
+//       mismatched reply kills the connection — strict, like the codec.
 //
 // Failure semantics: once a send returns Ok, every asynchronous failure
-// — connect budget exhausted, link reset, injected drop — surfaces as a
-// broken reply future, the exact "lost in flight" signal the retry
-// layer already handles. Injected delays arm a loop timer that defers
-// the enqueue; decide → delay → drop → dup ordering is unchanged.
+// — connect budget exhausted, link reset, peer SIGKILLed, injected drop —
+// surfaces as a broken reply future, the "lost in flight" signal the
+// retry layer already handles. Injected delays arm a loop timer that
+// defers the enqueue; decide → delay → drop → dup ordering is unchanged.
 #pragma once
 
 #include <atomic>
@@ -32,16 +31,16 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "net/event_loop.hpp"
 #include "obs/metrics.hpp"
-#include "transport/pending_reply.hpp"
 #include "transport/transport.hpp"
 
 namespace omig::transport {
 
-class AsyncTcpTransport final : public SocketTransport {
+class AsyncTcpTransport final : public Transport {
 public:
   struct Options {
     /// Peer endpoints, indexed by node id.
@@ -60,30 +59,25 @@ public:
   AsyncTcpTransport(Options options, fault::FaultInjector* injector);
   ~AsyncTcpTransport() override;
 
-  SendStatus send_invoke(std::size_t from, std::size_t to,
-                         const WireInvoke& msg,
-                         std::future<runtime::InvokeResult>& reply) override;
-  SendStatus send_install(std::size_t from, std::size_t to,
-                          const WireInstall& msg,
-                          std::future<bool>& reply) override;
-  SendStatus send_evict(std::size_t from, std::size_t to,
-                        const WireEvict& msg,
-                        std::future<runtime::ObjectState>& reply) override;
-  SendStatus send_dir_lookup(std::size_t from, std::size_t to,
-                             const WireDirLookup& msg,
-                             std::future<runtime::DirReply>& reply) override;
-  SendStatus send_dir_update(std::size_t from, std::size_t to,
-                             const WireDirUpdate& msg,
-                             std::future<runtime::DirAck>& reply) override;
+  using Transport::send;
+  /// Encodes the request and parks its reply promise until the answer
+  /// frame arrives.
+  SendStatus send(std::size_t from, std::size_t to,
+                  runtime::Message message) override;
 
   /// Queues the shutdown frame and waits (bounded) until it is actually
   /// on the wire — callers tearing a cluster down need the frame flushed
   /// before they start waiting for the peer process to exit.
   SendStatus send_shutdown(std::size_t to) override;
 
+  /// Crash notification: reset the connection so parked replies break
+  /// now instead of when the peer's socket times out.
   void on_node_crash(std::size_t node) override;
-  void set_peer(std::size_t node, Peer peer) override;
-  [[nodiscard]] std::uint64_t reconnects() const override {
+  /// Re-points a peer (e.g. a node process restarted on a new port) and
+  /// resets its connection.
+  void set_peer(std::size_t node, Peer peer);
+  /// Connections re-established after a reset (0 on an undisturbed run).
+  [[nodiscard]] std::uint64_t reconnects() const {
     return reconnects_.load(std::memory_order_relaxed);
   }
 
@@ -96,6 +90,14 @@ private:
   struct Out {
     std::vector<std::uint8_t> bytes;
     std::optional<std::promise<SendStatus>> on_written;
+  };
+
+  /// A request awaiting its reply frame: the envelope (its body already
+  /// encoded and moved out) keeps the reply promise; the send time feeds
+  /// the peer's RTT histogram.
+  struct Parked {
+    runtime::Message envelope;
+    std::chrono::steady_clock::time_point sent_at;
   };
 
   /// Per-peer state. Loop-thread only — no mutex anywhere. `generation`
@@ -114,7 +116,7 @@ private:
     std::deque<Out> outq;
     std::size_t out_off = 0;  ///< bytes of outq.front() already written
     net::Event out_ready;     ///< parks the writer between bursts
-    std::unordered_map<std::uint64_t, Pending> pending;
+    std::unordered_map<std::uint64_t, Parked> pending;
     obs::Histogram* rtt = nullptr;  ///< omig_transport_rtt_us{peer="N"}
   };
 
@@ -125,13 +127,10 @@ private:
     std::uint64_t corr = 0;
     std::vector<std::uint8_t> bytes;
     std::optional<std::vector<std::uint8_t>> dup_bytes;
-    std::optional<PendingReply> promise;               // requests
+    std::optional<runtime::Message> envelope;            // requests
     std::optional<std::promise<SendStatus>> on_written;  // shutdown
   };
 
-  template <class WireT, class ReplyT>
-  SendStatus send_request(std::size_t from, std::size_t to, const WireT& msg,
-                          std::future<ReplyT>& reply);
   void post_enqueue(std::shared_ptr<Enqueue> box, double delay_ms);
   void enqueue_on_loop(Enqueue& e);
   void ensure_conn_active(Conn& conn);

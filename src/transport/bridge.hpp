@@ -1,11 +1,11 @@
 // Bridges wire frames onto a live node's mailbox.
 //
-// The server side of the TCP backend: a request frame is rebuilt into the
-// promise-carrying runtime::Message the node loop already understands,
-// pushed into the mailbox, and the awaited promise value is marshalled
-// back as the reply frame quoting the request's correlation ID. Node
-// semantics — at-most-once dedup, reply caches, crash behaviour — stay in
-// LiveNode; the bridge only translates.
+// The server side of the socket backend: a request frame's body is
+// enveloped exactly as an in-process sender would, pushed into the
+// mailbox, and the awaited reply value goes back as the reply frame
+// quoting the request's correlation ID. Node semantics — at-most-once
+// dedup, reply caches, crash behaviour — stay in LiveNode; the bridge
+// only carries.
 #pragma once
 
 #include <optional>
@@ -19,9 +19,10 @@ namespace omig::transport {
 /// Serves one request frame against `mailbox`. Returns the reply frame, or
 /// nullopt when there is nothing to send back: a rejected push (mailbox
 /// closed), a promise broken by a crash mid-processing, a fire-and-forget
-/// Shutdown, or a nonsensical frame (a reply sent to a server). The
+/// Shutdown (which closes the mailbox: the node drains what is queued,
+/// then stops), or a nonsensical frame (a reply sent to a server). The
 /// caller's loss signal in all of those cases is the connection reset.
 [[nodiscard]] std::optional<Frame> serve_on_mailbox(
-    runtime::Mailbox<runtime::Message>& mailbox, Frame request);
+    runtime::Mailbox<runtime::Message>& mailbox, Frame&& request);
 
 }  // namespace omig::transport

@@ -56,18 +56,6 @@ std::uint16_t tcp_local_port(int fd) {
   return ntohs(addr.sin_port);
 }
 
-int tcp_accept(int listener_fd) {
-  for (;;) {
-    const int fd = ::accept(listener_fd, nullptr, nullptr);
-    if (fd >= 0) {
-      set_nodelay(fd);
-      return fd;
-    }
-    if (errno == EINTR) continue;
-    return -1;
-  }
-}
-
 int tcp_connect(const std::string& host, std::uint16_t port) {
   sockaddr_in addr{};
   if (!make_addr(host, port, addr)) return -1;
@@ -165,10 +153,6 @@ long tcp_read_some(int fd, std::uint8_t* buffer, std::size_t size) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) return kWouldBlock;
     return -1;
   }
-}
-
-void tcp_shutdown(int fd) {
-  if (fd >= 0) (void)::shutdown(fd, SHUT_RDWR);
 }
 
 void tcp_close(int fd) {

@@ -1,8 +1,10 @@
 // Thin POSIX TCP helpers for the localhost transport.
 //
-// Deliberately minimal: blocking sockets, IPv4 loopback by default, no
-// external dependencies. Everything returns -1 / false on failure and
-// never throws; callers decide whether a failure is retryable.
+// Deliberately minimal: IPv4 loopback by default, no external
+// dependencies. The blocking calls serve simple one-shot clients (a
+// metrics scrape); the transport and the frame server use the
+// nonblocking variants on an event loop. Everything returns -1 / false on
+// failure and never throws; callers decide whether a failure is retryable.
 #pragma once
 
 #include <cstddef>
@@ -20,10 +22,6 @@ namespace omig::transport {
 /// Port a listening (or connected) socket is bound to locally; 0 on error.
 [[nodiscard]] std::uint16_t tcp_local_port(int fd);
 
-/// Blocking accept; returns the connection fd (TCP_NODELAY set) or -1
-/// (listener closed).
-[[nodiscard]] int tcp_accept(int listener_fd);
-
 /// Blocking connect to `host:port`; returns the fd (TCP_NODELAY set) or -1.
 [[nodiscard]] int tcp_connect(const std::string& host, std::uint16_t port);
 
@@ -34,10 +32,6 @@ namespace omig::transport {
 /// Reads up to `size` bytes. >0 bytes read, 0 = orderly EOF, <0 = error.
 [[nodiscard]] long tcp_recv_some(int fd, std::uint8_t* buffer,
                                  std::size_t size);
-
-/// Shuts down both directions (wakes a thread blocked in recv) without
-/// closing the fd.
-void tcp_shutdown(int fd);
 
 /// Closes the fd (ignores errors and -1).
 void tcp_close(int fd);

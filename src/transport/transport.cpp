@@ -7,56 +7,14 @@ namespace omig::transport {
 
 namespace {
 
-/// Rebuilds the promise-carrying runtime message for a wire request. With
-/// `reply` null the message's reply channel is deliberately unawaited —
-/// that is how injected duplicates travel.
-runtime::Message to_message(const WireInvoke& w,
-                            std::future<runtime::InvokeResult>* reply) {
-  runtime::MsgInvoke m;
-  m.object = w.object;
-  m.method = w.method;
-  m.argument = w.argument;
-  m.seq = w.seq;
-  if (reply) *reply = m.reply.get_future();
-  return runtime::Message{std::move(m)};
-}
-
-runtime::Message to_message(const WireInstall& w, std::future<bool>* reply) {
-  runtime::MsgInstall m;
-  m.name = w.name;
-  m.state = w.state;
-  m.seq = w.seq;
-  if (reply) *reply = m.done.get_future();
-  return runtime::Message{std::move(m)};
-}
-
-runtime::Message to_message(const WireEvict& w,
-                            std::future<runtime::ObjectState>* reply) {
-  runtime::MsgEvict m;
-  m.name = w.name;
-  m.seq = w.seq;
-  if (reply) *reply = m.state.get_future();
-  return runtime::Message{std::move(m)};
-}
-
-runtime::Message to_message(const WireDirLookup& w,
-                            std::future<runtime::DirReply>* reply) {
-  runtime::MsgDirLookup m;
-  m.name = w.name;
-  m.seq = w.seq;
-  if (reply) *reply = m.reply.get_future();
-  return runtime::Message{std::move(m)};
-}
-
-runtime::Message to_message(const WireDirUpdate& w,
-                            std::future<runtime::DirAck>* reply) {
-  runtime::MsgDirUpdate m;
-  m.name = w.name;
-  m.node = w.node;
-  m.invalidate = w.invalidate;
-  m.seq = w.seq;
-  if (reply) *reply = m.done.get_future();
-  return runtime::Message{std::move(m)};
+/// A same-body copy of `message` whose reply nobody awaits — how injected
+/// duplicates travel.
+runtime::Message unawaited_copy(const runtime::Message& message) {
+  return std::visit(
+      [](const auto& envelope) -> runtime::Message {
+        return std::decay_t<decltype(envelope)>{envelope.body, {}};
+      },
+      message);
 }
 
 }  // namespace
@@ -75,10 +33,8 @@ const char* to_string(SendStatus status) {
   return "unknown";
 }
 
-template <class WireT, class ReplyT>
-SendStatus InProcTransport::send_request(std::size_t from, std::size_t to,
-                                         const WireT& msg,
-                                         std::future<ReplyT>& reply) {
+SendStatus InProcTransport::send(std::size_t from, std::size_t to,
+                                 runtime::Message message) {
   runtime::Mailbox<runtime::Message>* box = mailboxes_(to);
   if (box == nullptr) return SendStatus::Closed;
   const fault::Decision d = decide(from, to);
@@ -86,57 +42,20 @@ SendStatus InProcTransport::send_request(std::size_t from, std::size_t to,
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>{d.delay});
   }
-  if (d.drop) {
-    // Lost in flight: the sender observes the loss through the broken
-    // reply, exactly as when the message object was destroyed pre-seam.
-    break_reply(reply);
-    return SendStatus::Ok;
-  }
-  if (d.duplicate) {
-    (void)box->push(to_message(msg, static_cast<std::future<ReplyT>*>(nullptr)));
-  }
-  const runtime::PushStatus pushed = box->push(to_message(msg, &reply));
-  return pushed == runtime::PushStatus::Ok ? SendStatus::Ok
-                                           : SendStatus::Closed;
-}
-
-SendStatus InProcTransport::send_invoke(
-    std::size_t from, std::size_t to, const WireInvoke& msg,
-    std::future<runtime::InvokeResult>& reply) {
-  return send_request(from, to, msg, reply);
-}
-
-SendStatus InProcTransport::send_install(std::size_t from, std::size_t to,
-                                         const WireInstall& msg,
-                                         std::future<bool>& reply) {
-  return send_request(from, to, msg, reply);
-}
-
-SendStatus InProcTransport::send_evict(
-    std::size_t from, std::size_t to, const WireEvict& msg,
-    std::future<runtime::ObjectState>& reply) {
-  return send_request(from, to, msg, reply);
-}
-
-SendStatus InProcTransport::send_dir_lookup(
-    std::size_t from, std::size_t to, const WireDirLookup& msg,
-    std::future<runtime::DirReply>& reply) {
-  return send_request(from, to, msg, reply);
-}
-
-SendStatus InProcTransport::send_dir_update(
-    std::size_t from, std::size_t to, const WireDirUpdate& msg,
-    std::future<runtime::DirAck>& reply) {
-  return send_request(from, to, msg, reply);
+  // Lost in flight: the message dies here and the sender observes the
+  // loss through its broken reply.
+  if (d.drop) return SendStatus::Ok;
+  if (d.duplicate) (void)box->push(unawaited_copy(message));
+  return box->push(std::move(message)) == runtime::PushStatus::Ok
+             ? SendStatus::Ok
+             : SendStatus::Closed;
 }
 
 SendStatus InProcTransport::send_shutdown(std::size_t to) {
   runtime::Mailbox<runtime::Message>* box = mailboxes_(to);
-  if (box == nullptr) return SendStatus::Closed;
-  return box->push(runtime::Message{runtime::MsgStop{}}) ==
-                 runtime::PushStatus::Ok
-             ? SendStatus::Ok
-             : SendStatus::Closed;
+  if (box == nullptr || box->closed()) return SendStatus::Closed;
+  box->close();
+  return SendStatus::Ok;
 }
 
 }  // namespace omig::transport

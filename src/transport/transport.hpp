@@ -1,31 +1,33 @@
 // Transport seam of the live runtime.
 //
 // Walker et al. (PAPERS.md) argue transmission policy belongs behind a
-// clean transport boundary; this is that boundary for the live runtime.
-// The system layer (runtime/live_system) speaks typed requests — invoke,
-// install, evict — and receives typed futures; *how* a request reaches the
+// clean transport boundary; this is that boundary for the live runtime,
+// and it is one method wide. The system layer hands send() a
+// runtime::Message — a Wire* request in its envelope, the reply promise
+// riding along — and awaits the promise; *how* the request reaches the
 // hosting node is the backend's business:
 //
-//   InProcTransport  — today's mailbox semantics, bit for bit: the request
-//                      becomes a runtime::Message carrying a std::promise
-//                      and lands in the destination node's mailbox.
-//   TcpTransport     — the request is marshalled into a wire frame
-//                      (transport/wire) and sent over a localhost socket;
-//                      a correlation ID matches the reply frame back to
-//                      the caller's future. Peers may live in the same
-//                      process (NodeServer bridging to a mailbox) or in
-//                      separate omig_node processes.
+//   InProcTransport   — the envelope lands in the destination node's
+//                       mailbox as it is.
+//   AsyncTcpTransport — the body is encoded into a wire frame
+//                       (transport/wire) and sent over a localhost socket
+//                       from one event loop; the promise parks under a
+//                       correlation ID until the reply frame comes back.
+//                       Peers may live in the same process (NodeServer
+//                       bridging to a mailbox) or in separate omig_node
+//                       processes.
 //
 // Fault injection lives at this seam: every send consults the shared
 // fault::FaultInjector, so one FaultPlan drives both backends — drops
-// break the reply future (the in-flight loss the retry layer observes),
-// delays stall the sending thread, duplicates travel as same-seq copies
-// whose replies nobody awaits, and a crashed peer manifests as a typed
-// send rejection (closed mailbox / connection reset).
+// destroy the message (its reply breaks: the in-flight loss the retry
+// layer observes), delays hold it back, and duplicates travel as same-seq
+// copies whose replies nobody awaits.
 //
-// Send failures are explicit: SendStatus tells the retry/backoff layer
-// *that* and *why* an endpoint rejected a message, instead of making it
-// infer the loss from a broken promise.
+// Send failures are explicit where the backend knows them on the spot:
+// SendStatus tells the retry/backoff layer *that* and *why* an endpoint
+// rejected a message (a crashed in-proc node's closed mailbox, an
+// oversized frame). A dead socket peer is only learnt asynchronously, so
+// there it surfaces as a broken reply.
 #pragma once
 
 #include <cstdint>
@@ -41,17 +43,18 @@ namespace omig::transport {
 
 /// Typed verdict of one send attempt. Ok means the message was handed to
 /// the endpoint — delivery can still fail asynchronously (injected drop,
-/// crash mid-flight), which the caller observes through the reply future.
+/// crash mid-flight, dead peer), which the caller observes through the
+/// reply future.
 enum class SendStatus : std::uint8_t {
   Ok = 0,
-  Closed,       ///< endpoint rejected it: mailbox closed / connection reset
-  Unreachable,  ///< no connection within the reconnect budget
+  Closed,       ///< endpoint rejected it: mailbox closed / transport stopping
+  Unreachable,  ///< no such peer, or a shutdown frame never hit the wire
   Oversized,    ///< frame exceeds kMaxFramePayload
 };
 
 [[nodiscard]] const char* to_string(SendStatus status);
 
-/// A peer endpoint of the TCP backend.
+/// A peer endpoint of the socket backend.
 struct Peer {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
@@ -61,36 +64,41 @@ class Transport {
 public:
   virtual ~Transport() = default;
 
-  /// Sends a request towards node `to`. On SendStatus::Ok the matching
-  /// `reply` future is armed; it is fulfilled by the peer's answer or
-  /// broken (std::future_error) when the message or its node dies.
-  /// `from` is the sending node (or the system layer's external-sender
-  /// sentinel) — it only feeds the fault injector's link matching.
-  virtual SendStatus send_invoke(std::size_t from, std::size_t to,
-                                 const WireInvoke& msg,
-                                 std::future<runtime::InvokeResult>& reply) = 0;
-  virtual SendStatus send_install(std::size_t from, std::size_t to,
-                                  const WireInstall& msg,
-                                  std::future<bool>& reply) = 0;
-  virtual SendStatus send_evict(std::size_t from, std::size_t to,
-                                const WireEvict& msg,
-                                std::future<runtime::ObjectState>& reply) = 0;
-  virtual SendStatus send_dir_lookup(std::size_t from, std::size_t to,
-                                     const WireDirLookup& msg,
-                                     std::future<runtime::DirReply>& reply) = 0;
-  virtual SendStatus send_dir_update(std::size_t from, std::size_t to,
-                                     const WireDirUpdate& msg,
-                                     std::future<runtime::DirAck>& reply) = 0;
+  /// Sends a request towards node `to`. The message's reply promise is
+  /// fulfilled by the peer's answer, or broken when the message or its
+  /// node dies. `from` is the sending node (or the system layer's
+  /// external-sender sentinel) — it only feeds the fault injector's link
+  /// matching.
+  virtual SendStatus send(std::size_t from, std::size_t to,
+                          runtime::Message message) = 0;
 
-  /// Fire-and-forget stop request (multi-process mode; in-proc this is a
-  /// MsgStop). No reply: a TCP peer simply closes the connection.
+  /// Typed form of send(): envelops `msg` and arms `reply` with the future
+  /// of its answer.
+  template <Request Req>
+  SendStatus send(std::size_t from, std::size_t to, const Req& msg,
+                  std::future<typename Req::Reply>& reply) {
+    return send(from, to, runtime::envelop(msg, reply));
+  }
+  /// Named shorthands of the typed send() for the two requests that
+  /// standalone clients of a node (probes, tools) send.
+  SendStatus send_invoke(std::size_t from, std::size_t to,
+                         const WireInvoke& msg,
+                         std::future<runtime::InvokeResult>& reply) {
+    return send(from, to, msg, reply);
+  }
+  SendStatus send_install(std::size_t from, std::size_t to,
+                          const WireInstall& msg, std::future<bool>& reply) {
+    return send(from, to, msg, reply);
+  }
+
+  /// Fire-and-forget stop request (multi-process mode). No reply: a socket
+  /// peer simply closes the connection.
   virtual SendStatus send_shutdown(std::size_t to) = 0;
 
-  /// Lifecycle notifications from the system layer, so a backend can drop
-  /// per-peer state (TCP: reset the connection; in-proc: nothing — the
+  /// Crash notification from the system layer, so a backend can drop
+  /// per-peer state (socket: reset the connection; in-proc: nothing — the
   /// crashed mailbox itself rejects sends).
   virtual void on_node_crash(std::size_t node) { (void)node; }
-  virtual void on_node_restart(std::size_t node) { (void)node; }
 
 protected:
   explicit Transport(fault::FaultInjector* injector) : injector_{injector} {}
@@ -100,38 +108,12 @@ protected:
     return injector_ ? injector_->on_message(from, to) : fault::Decision{};
   }
 
-  /// Arms `reply` with a future whose promise is already gone — the
-  /// canonical "lost in flight" signal the retry layer knows how to read.
-  template <class T>
-  static void break_reply(std::future<T>& reply) {
-    std::promise<T> abandoned;
-    reply = abandoned.get_future();
-  }
-
 private:
   fault::FaultInjector* injector_;  ///< non-owning; may be null
 };
 
-/// Shared surface of the socket-backed backends (blocking TcpTransport,
-/// event-loop AsyncTcpTransport): the system layer re-points a peer after
-/// a node restarts on a fresh port and reads the reconnect count, without
-/// caring which backend sits behind the seam.
-class SocketTransport : public Transport {
-public:
-  /// Re-points a peer (e.g. a node process restarted on a new port) and
-  /// resets its connection.
-  virtual void set_peer(std::size_t node, Peer peer) = 0;
-
-  /// Connections re-established after a reset (0 on an undisturbed run).
-  [[nodiscard]] virtual std::uint64_t reconnects() const = 0;
-
-protected:
-  using Transport::Transport;
-};
-
-/// The original in-process backend: requests become promise-carrying
-/// runtime::Messages pushed straight into the destination node's mailbox.
-/// Mailbox rejections map to SendStatus::Closed.
+/// The in-process backend: messages go straight into the destination
+/// node's mailbox. Mailbox rejections map to SendStatus::Closed.
 class InProcTransport final : public Transport {
 public:
   /// `mailboxes` resolves a node index to its (possibly crashed) mailbox;
@@ -142,28 +124,13 @@ public:
   InProcTransport(MailboxLookup mailboxes, fault::FaultInjector* injector)
       : Transport{injector}, mailboxes_{std::move(mailboxes)} {}
 
-  SendStatus send_invoke(std::size_t from, std::size_t to,
-                         const WireInvoke& msg,
-                         std::future<runtime::InvokeResult>& reply) override;
-  SendStatus send_install(std::size_t from, std::size_t to,
-                          const WireInstall& msg,
-                          std::future<bool>& reply) override;
-  SendStatus send_evict(std::size_t from, std::size_t to,
-                        const WireEvict& msg,
-                        std::future<runtime::ObjectState>& reply) override;
-  SendStatus send_dir_lookup(std::size_t from, std::size_t to,
-                             const WireDirLookup& msg,
-                             std::future<runtime::DirReply>& reply) override;
-  SendStatus send_dir_update(std::size_t from, std::size_t to,
-                             const WireDirUpdate& msg,
-                             std::future<runtime::DirAck>& reply) override;
+  using Transport::send;
+  SendStatus send(std::size_t from, std::size_t to,
+                  runtime::Message message) override;
+  /// Closes the node's mailbox: it drains what is queued, then stops.
   SendStatus send_shutdown(std::size_t to) override;
 
 private:
-  template <class WireT, class ReplyT>
-  SendStatus send_request(std::size_t from, std::size_t to, const WireT& msg,
-                          std::future<ReplyT>& reply);
-
   MailboxLookup mailboxes_;
 };
 

@@ -148,9 +148,9 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
           out.push_back(body.result.ok ? 1 : 0);
           put_str(out, body.result.value);
         } else if constexpr (std::is_same_v<T, WireInstallReply>) {
-          out.push_back(body.ok ? 1 : 0);
+          out.push_back(body.result ? 1 : 0);
         } else if constexpr (std::is_same_v<T, WireEvictReply>) {
-          put_state(out, body.state);
+          put_state(out, body.result);
         } else if constexpr (std::is_same_v<T, WireDirLookup>) {
           put_u64(out, body.seq);
           put_str(out, body.name);
@@ -160,10 +160,10 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
           put_u64(out, body.node);
           out.push_back(body.invalidate ? 1 : 0);
         } else if constexpr (std::is_same_v<T, WireDirLookupReply>) {
-          out.push_back(body.found ? 1 : 0);
-          put_u64(out, body.node);
+          out.push_back(body.result.found ? 1 : 0);
+          put_u64(out, body.result.node);
         } else if constexpr (std::is_same_v<T, WireDirUpdateReply>) {
-          out.push_back(body.ok ? 1 : 0);
+          out.push_back(body.result ? 1 : 0);
         }
       },
       frame.payload);
@@ -226,13 +226,13 @@ std::optional<Frame> decode_payload(std::span<const std::uint8_t> payload) {
       WireInstallReply body;
       std::uint8_t flag = 0;
       ok = reader.read_u8(flag);
-      body.ok = flag != 0;
+      body.result = flag != 0;
       frame.payload = body;
       break;
     }
     case FrameType::EvictReply: {
       WireEvictReply body;
-      ok = reader.read_state(body.state);
+      ok = reader.read_state(body.result);
       frame.payload = std::move(body);
       break;
     }
@@ -254,8 +254,8 @@ std::optional<Frame> decode_payload(std::span<const std::uint8_t> payload) {
     case FrameType::DirLookupReply: {
       WireDirLookupReply body;
       std::uint8_t flag = 0;
-      ok = reader.read_u8(flag) && reader.read_u64(body.node);
-      body.found = flag != 0;
+      ok = reader.read_u8(flag) && reader.read_u64(body.result.node);
+      body.result.found = flag != 0;
       frame.payload = body;
       break;
     }
@@ -263,7 +263,7 @@ std::optional<Frame> decode_payload(std::span<const std::uint8_t> payload) {
       WireDirUpdateReply body;
       std::uint8_t flag = 0;
       ok = reader.read_u8(flag);
-      body.ok = flag != 0;
+      body.result = flag != 0;
       frame.payload = body;
       break;
     }

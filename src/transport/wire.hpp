@@ -1,11 +1,12 @@
-// Wire protocol for the live runtime: every NodeMessage variant as a
+// Wire protocol for the live runtime: every request and reply as a
 // length-prefixed frame.
 //
-// Inside one process the runtime's messages carry `std::promise` reply
-// channels; those cannot cross a process boundary. At the transport seam a
-// request instead carries a correlation ID, and the peer answers with a
-// reply frame quoting the same ID — the sending transport matches it back
-// to the waiting future. The frame layout is
+// The Wire* request bodies below are the runtime's one request vocabulary:
+// in-process they travel inside a runtime::Envelope next to a
+// `std::promise` of their reply, which cannot cross a process boundary. At
+// the socket seam a request instead carries a correlation ID, and the peer
+// answers with a reply frame quoting the same ID — the sending transport
+// matches it back to the waiting promise. The frame layout is
 //
 //     u32  payload length (little-endian, excludes this prefix)
 //     u8   protocol version (kWireVersion)
@@ -28,7 +29,7 @@
 #include <variant>
 #include <vector>
 
-#include "runtime/message.hpp"
+#include "runtime/object_state.hpp"
 
 namespace omig::transport {
 
@@ -56,10 +57,22 @@ enum class FrameType : std::uint8_t {
 
 [[nodiscard]] const char* to_string(FrameType type);
 
-// --- request bodies (promise-free mirrors of runtime::Msg*) ----------------
+// --- requests ---------------------------------------------------------------
+//
+// Each request names the value its reply carries (`Reply`) and a sequence
+// number: a retransmission (after a lost message or a crashed node) reuses
+// the seq of the original, and the receiving node deduplicates — the
+// request takes effect at most once, a duplicate is answered from a
+// bounded reply cache. seq 0 disables deduplication.
 
+/// A frame body that names the value its reply carries.
+template <class T>
+concept Request = requires { typename T::Reply; };
+
+/// Synchronous method invocation.
 struct WireInvoke {
-  std::uint64_t seq = 0;  ///< at-most-once dedup id (runtime::MsgInvoke)
+  using Reply = runtime::InvokeResult;
+  std::uint64_t seq = 0;
   std::string object;
   std::string method;
   std::string argument;
@@ -67,7 +80,11 @@ struct WireInvoke {
   friend bool operator==(const WireInvoke&, const WireInvoke&) = default;
 };
 
+/// Installs a (migrated or new) object on the receiving node; the reply
+/// says whether it took. A duplicate of the same (name, seq) is
+/// acknowledged without rebuilding the object.
 struct WireInstall {
+  using Reply = bool;
   std::uint64_t seq = 0;
   std::string name;
   runtime::ObjectState state;
@@ -75,22 +92,30 @@ struct WireInstall {
   friend bool operator==(const WireInstall&, const WireInstall&) = default;
 };
 
+/// Evicts an object: the node linearises it, removes it, and replies with
+/// the state (empty type on failure). A duplicate replies with the state
+/// captured by the first delivery.
 struct WireEvict {
+  using Reply = runtime::ObjectState;
   std::uint64_t seq = 0;
   std::string name;
 
   friend bool operator==(const WireEvict&, const WireEvict&) = default;
 };
 
-/// Asks a node process to stop (runtime::MsgStop). Fire-and-forget: the
-/// peer closes the connection instead of replying.
-struct WireShutdown {
-  friend bool operator==(const WireShutdown&, const WireShutdown&) = default;
+/// A node's directory entry for a name: a shard-slice record or a
+/// forwarding hint, and the node it points at (docs/directory.md).
+struct DirEntry {
+  bool found = false;
+  std::uint64_t node = 0;
+
+  friend bool operator==(const DirEntry&, const DirEntry&) = default;
 };
 
-/// Asks a shard-owner node for its directory entry (slice record or
-/// forwarding hint) for `name` (runtime::MsgDirLookup, docs/directory.md).
+/// Asks a shard-owner node for its directory entry for `name`. Read-only
+/// and idempotent; seq is carried for symmetry but needs no dedup.
 struct WireDirLookup {
+  using Reply = DirEntry;
   std::uint64_t seq = 0;
   std::string name;
 
@@ -100,8 +125,10 @@ struct WireDirLookup {
 
 /// Installs (`invalidate` false) or drops (`invalidate` true) a directory
 /// entry at the receiving node: shard-slice updates after a migration and
-/// forwarding hints left at the old host use the same message.
+/// forwarding hints left at the old host use the same message. Idempotent:
+/// the update carries the absolute new value.
 struct WireDirUpdate {
+  using Reply = bool;
   std::uint64_t seq = 0;
   std::string name;
   std::uint64_t node = 0;
@@ -111,43 +138,27 @@ struct WireDirUpdate {
                          const WireDirUpdate&) = default;
 };
 
-// --- reply bodies ----------------------------------------------------------
-
-struct WireInvokeReply {
-  runtime::InvokeResult result;
-
-  friend bool operator==(const WireInvokeReply&,
-                         const WireInvokeReply&) = default;
+/// Asks a node process to stop. Fire-and-forget: the peer closes the
+/// connection instead of replying.
+struct WireShutdown {
+  friend bool operator==(const WireShutdown&, const WireShutdown&) = default;
 };
 
-struct WireInstallReply {
-  bool ok = false;
+// --- replies -----------------------------------------------------------------
 
-  friend bool operator==(const WireInstallReply&,
-                         const WireInstallReply&) = default;
+/// The reply frame answering a `Req`: the request's result.
+template <Request Req>
+struct WireReply {
+  typename Req::Reply result;
+
+  friend bool operator==(const WireReply&, const WireReply&) = default;
 };
 
-struct WireEvictReply {
-  runtime::ObjectState state;  ///< empty type signals failure (as in-proc)
-
-  friend bool operator==(const WireEvictReply&,
-                         const WireEvictReply&) = default;
-};
-
-struct WireDirLookupReply {
-  bool found = false;
-  std::uint64_t node = 0;
-
-  friend bool operator==(const WireDirLookupReply&,
-                         const WireDirLookupReply&) = default;
-};
-
-struct WireDirUpdateReply {
-  bool ok = false;
-
-  friend bool operator==(const WireDirUpdateReply&,
-                         const WireDirUpdateReply&) = default;
-};
+using WireInvokeReply = WireReply<WireInvoke>;
+using WireInstallReply = WireReply<WireInstall>;
+using WireEvictReply = WireReply<WireEvict>;
+using WireDirLookupReply = WireReply<WireDirLookup>;
+using WireDirUpdateReply = WireReply<WireDirUpdate>;
 
 /// One decoded frame: correlation ID plus the typed payload.
 struct Frame {

@@ -1,5 +1,9 @@
 // Fault tolerance of the live threaded runtime: lossy links, duplicate
 // suppression, crash/restart checkpoint recovery, and lock leases.
+//
+// The message-level cases run on both transport backends: in-process
+// mailbox delivery, and every request encoded into a wire frame and sent
+// over a localhost socket by the event-loop client.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -36,7 +40,9 @@ ObjectState counter_state() {
   return s;
 }
 
-std::unique_ptr<LiveSystem> make_system(LiveSystem::Options opts) {
+std::unique_ptr<LiveSystem> make_system(
+    LiveSystem::Options opts, TransportKind transport = TransportKind::InProc) {
+  opts.transport = transport;
   auto sys = std::make_unique<LiveSystem>(std::move(opts));
   sys->register_type("counter", counter_factory());
   sys->start();
@@ -54,11 +60,27 @@ bool eventually(const std::function<bool()>& pred,
   return pred();
 }
 
-TEST(LiveFaultTest, LossyLinksEveryInvokeStillSucceeds) {
+class LiveFaultBackend : public ::testing::TestWithParam<TransportKind> {
+protected:
+  std::unique_ptr<LiveSystem> make(LiveSystem::Options opts) {
+    return make_system(std::move(opts), GetParam());
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Backends, LiveFaultBackend,
+                         ::testing::Values(TransportKind::InProc,
+                                           TransportKind::AsyncTcp),
+                         [](const auto& info) {
+                           return info.param == TransportKind::InProc
+                                      ? "InProc"
+                                      : "AsyncTcp";
+                         });
+
+TEST_P(LiveFaultBackend, LossyLinksEveryInvokeStillSucceeds) {
   LiveSystem::Options opts;
   opts.nodes = 3;
   opts.fault_plan = fault::parse_plan_text("seed 7\ndrop * * 0.25\n");
-  auto sys = make_system(std::move(opts));
+  auto sys = make(std::move(opts));
   ASSERT_TRUE(sys->create("c", counter_state(), 1));
   constexpr int kCalls = 60;
   for (int i = 0; i < kCalls; ++i) {
@@ -71,11 +93,11 @@ TEST(LiveFaultTest, LossyLinksEveryInvokeStillSucceeds) {
   EXPECT_GT(sys->retries(), 0u);
 }
 
-TEST(LiveFaultTest, DuplicatesAreDeduplicated) {
+TEST_P(LiveFaultBackend, DuplicatesAreDeduplicated) {
   LiveSystem::Options opts;
   opts.nodes = 2;
   opts.fault_plan = fault::parse_plan_text("seed 3\ndup * * 1.0\n");
-  auto sys = make_system(std::move(opts));
+  auto sys = make(std::move(opts));
   ASSERT_TRUE(sys->create("c", counter_state(), 1));
   constexpr int kCalls = 20;
   for (int i = 0; i < kCalls; ++i) {
@@ -88,11 +110,11 @@ TEST(LiveFaultTest, DuplicatesAreDeduplicated) {
   EXPECT_GT(sys->deduplicated_messages(), 0u);
 }
 
-TEST(LiveFaultTest, DelaysSlowDeliveryWithoutBreakingIt) {
+TEST_P(LiveFaultBackend, DelaysSlowDeliveryWithoutBreakingIt) {
   LiveSystem::Options opts;
   opts.nodes = 2;
   opts.fault_plan = fault::parse_plan_text("delay * * 5\n");
-  auto sys = make_system(std::move(opts));
+  auto sys = make(std::move(opts));
   ASSERT_TRUE(sys->create("c", counter_state(), 1));
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(sys->invoke("c", "inc", "").ok);
@@ -102,10 +124,10 @@ TEST(LiveFaultTest, DelaysSlowDeliveryWithoutBreakingIt) {
   EXPECT_EQ(sys->invoke("c", "get", "").value, "5");
 }
 
-TEST(LiveFaultTest, CrashLosesUpdatesRestartRecoversCheckpoint) {
+TEST_P(LiveFaultBackend, CrashLosesUpdatesRestartRecoversCheckpoint) {
   LiveSystem::Options opts;
   opts.nodes = 3;
-  auto sys = make_system(std::move(opts));
+  auto sys = make(std::move(opts));
   ASSERT_TRUE(sys->create("c", counter_state(), 1));
   for (int i = 0; i < 3; ++i) sys->invoke("c", "inc", "");
   sys->crash_node(1);
@@ -122,10 +144,10 @@ TEST(LiveFaultTest, CrashLosesUpdatesRestartRecoversCheckpoint) {
   EXPECT_EQ(sys->recoveries(), 1u);
 }
 
-TEST(LiveFaultTest, MigrationRefreshesTheCheckpoint) {
+TEST_P(LiveFaultBackend, MigrationRefreshesTheCheckpoint) {
   LiveSystem::Options opts;
   opts.nodes = 3;
-  auto sys = make_system(std::move(opts));
+  auto sys = make(std::move(opts));
   ASSERT_TRUE(sys->create("c", counter_state(), 0));
   sys->invoke("c", "inc", "");
   sys->invoke("c", "inc", "");
@@ -136,11 +158,11 @@ TEST(LiveFaultTest, MigrationRefreshesTheCheckpoint) {
   EXPECT_EQ(sys->invoke("c", "get", "").value, "2");
 }
 
-TEST(LiveFaultTest, MigrationPullsCheckpointOffDeadNode) {
+TEST_P(LiveFaultBackend, MigrationPullsCheckpointOffDeadNode) {
   LiveSystem::Options opts;
   opts.nodes = 3;
   opts.max_retries = 2;
-  auto sys = make_system(std::move(opts));
+  auto sys = make(std::move(opts));
   ASSERT_TRUE(sys->create("c", counter_state(), 1));
   sys->invoke("c", "inc", "");
   sys->crash_node(1);
@@ -154,12 +176,12 @@ TEST(LiveFaultTest, MigrationPullsCheckpointOffDeadNode) {
   EXPECT_GE(sys->recoveries(), 1u);
 }
 
-TEST(LiveFaultTest, CrashedNodeWithoutRestartFailsBounded) {
+TEST_P(LiveFaultBackend, CrashedNodeWithoutRestartFailsBounded) {
   LiveSystem::Options opts;
   opts.nodes = 2;
   opts.max_retries = 2;
   opts.retry_backoff = std::chrono::milliseconds{1};
-  auto sys = make_system(std::move(opts));
+  auto sys = make(std::move(opts));
   ASSERT_TRUE(sys->create("c", counter_state(), 1));
   sys->crash_node(1);
   // No hang: the retry budget runs out and the failure is reported.
@@ -208,11 +230,11 @@ TEST(LiveFaultTest, InfiniteLeaseKeepsPaperSemantics) {
   sys->end(holder);
 }
 
-TEST(LiveFaultTest, PlanDrivenCrashScheduleRuns) {
+TEST_P(LiveFaultBackend, PlanDrivenCrashScheduleRuns) {
   LiveSystem::Options opts;
   opts.nodes = 3;
   opts.fault_plan = fault::parse_plan_text("crash 1 20 60\n");  // millis
-  auto sys = make_system(std::move(opts));
+  auto sys = make(std::move(opts));
   ASSERT_TRUE(sys->create("c", counter_state(), 0));
   EXPECT_TRUE(eventually([&] { return !sys->node_up(1); },
                          std::chrono::seconds{5}));

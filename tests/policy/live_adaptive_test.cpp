@@ -111,7 +111,7 @@ TEST(LiveAdaptiveTest, LoadVetoSuppressesMovesIntoACrowdedNode) {
 
 // One single-threaded workload, recorded at the directory layer on the
 // logical clock, must yield the identical protocol trace under the InProc
-// and the Tcp transport (live_system.hpp's determinism contract) — now
+// and the AsyncTcp transport (live_system.hpp's determinism contract) — now
 // including the adaptive decision events (refusals, EMA-directed
 // migrations).
 std::vector<trace::Event> traced_workload(TransportKind transport) {
@@ -138,7 +138,8 @@ std::vector<trace::Event> traced_workload(TransportKind transport) {
 
 TEST(LiveAdaptiveTest, TraceIsIdenticalAcrossTransports) {
   const std::vector<trace::Event> inproc = traced_workload(TransportKind::InProc);
-  const std::vector<trace::Event> tcp = traced_workload(TransportKind::Tcp);
+  const std::vector<trace::Event> tcp =
+      traced_workload(TransportKind::AsyncTcp);
   ASSERT_FALSE(inproc.empty());
   ASSERT_EQ(inproc.size(), tcp.size());
   for (std::size_t i = 0; i < inproc.size(); ++i) {

@@ -124,11 +124,11 @@ TEST_P(OfficeWorkflow, FixPinsTheLedgerForAudit) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, OfficeWorkflow,
                          ::testing::Values(TransportKind::InProc,
-                                           TransportKind::Tcp),
+                                           TransportKind::AsyncTcp),
                          [](const auto& info) {
                            return info.param == TransportKind::InProc
                                       ? "InProc"
-                                      : "Tcp";
+                                      : "AsyncTcp";
                          });
 
 }  // namespace

@@ -188,7 +188,7 @@ TEST_F(MultiProcess, KilledNodeLosesLiveStateButMigrationRecoversCheckpoint) {
   sys.crash_node(1);
   EXPECT_FALSE(sys.node_up(1));
   EXPECT_FALSE(sys.invoke("c", "get", "").ok);
-  EXPECT_GE(sys.send_rejections(), 1u);
+  EXPECT_GE(sys.retries(), 1u);
 
   // Migrate the object off the dead node: the evict cannot reach node 1,
   // so the migration recovers the creation checkpoint and installs it on

@@ -17,7 +17,6 @@
 #include "transport/async_tcp_transport.hpp"
 #include "transport/bridge.hpp"
 #include "transport/node_server.hpp"
-#include "transport/tcp_transport.hpp"
 
 namespace omig::transport {
 namespace {
@@ -27,13 +26,11 @@ using runtime::TransportKind;
 
 constexpr std::size_t kSender = 99;
 
-// --- standalone socket transports against one real node --------------------
+// --- the socket transport against one real node ---------------------------
 //
-// The same link-behaviour suite runs against both socket backends: the
-// blocking thread-per-peer TcpTransport and the event-loop
-// AsyncTcpTransport. Where failure *signals* legitimately differ (the
-// async backend accepts the send and breaks the reply instead of
-// returning a typed rejection), the test branches on async().
+// The link-behaviour suite for the event-loop AsyncTcpTransport. It accepts
+// the send and breaks the reply where a failure is only learnt
+// asynchronously, instead of returning a typed rejection.
 
 class TcpLink : public ::testing::TestWithParam<TransportKind> {
 protected:
@@ -46,29 +43,17 @@ protected:
     });
     port_ = server_->start();
     ASSERT_NE(port_, 0);
-    if (async()) {
-      AsyncTcpTransport::Options opts;
-      opts.peers = {Peer{"127.0.0.1", port_}};
-      opts.max_connect_attempts = 2;
-      opts.connect_backoff = std::chrono::milliseconds{1};
-      tcp_ = std::make_unique<AsyncTcpTransport>(std::move(opts), nullptr);
-    } else {
-      TcpTransport::Options opts;
-      opts.peers = {Peer{"127.0.0.1", port_}};
-      opts.max_connect_attempts = 2;
-      opts.connect_backoff = std::chrono::milliseconds{1};
-      tcp_ = std::make_unique<TcpTransport>(std::move(opts), nullptr);
-    }
+    AsyncTcpTransport::Options opts;
+    opts.peers = {Peer{"127.0.0.1", port_}};
+    opts.max_connect_attempts = 2;
+    opts.connect_backoff = std::chrono::milliseconds{1};
+    tcp_ = std::make_unique<AsyncTcpTransport>(std::move(opts), nullptr);
   }
 
   void TearDown() override {
     tcp_.reset();
     server_->stop();
     node_->stop();
-  }
-
-  [[nodiscard]] bool async() const {
-    return GetParam() == TransportKind::AsyncTcp;
   }
 
   bool install(const std::string& name, runtime::ObjectState state) {
@@ -86,19 +71,14 @@ protected:
   std::unordered_map<std::string, runtime::ObjectFactory> factories_;
   std::unique_ptr<runtime::LiveNode> node_;
   std::unique_ptr<NodeServer> server_;
-  std::unique_ptr<SocketTransport> tcp_;
+  std::unique_ptr<AsyncTcpTransport> tcp_;
   std::uint16_t port_ = 0;
   std::uint64_t next_seq_ = 1;
 };
 
 INSTANTIATE_TEST_SUITE_P(Backends, TcpLink,
-                         ::testing::Values(TransportKind::Tcp,
-                                           TransportKind::AsyncTcp),
-                         [](const auto& info) {
-                           return info.param == TransportKind::AsyncTcp
-                                      ? "AsyncTcp"
-                                      : "Tcp";
-                         });
+                         ::testing::Values(TransportKind::AsyncTcp),
+                         [](const auto&) { return "AsyncTcp"; });
 
 TEST_P(TcpLink, RequestReplyRoundTrip) {
   ASSERT_TRUE(install("c", runtime::make_state("counter", {{"count", "5"}})));
@@ -118,7 +98,7 @@ TEST_P(TcpLink, RequestReplyRoundTrip) {
   evict.seq = next_seq_++;
   evict.name = "c";
   std::future<runtime::ObjectState> state;
-  ASSERT_EQ(tcp_->send_evict(kSender, 0, evict, state), SendStatus::Ok);
+  ASSERT_EQ(tcp_->send(kSender, 0, evict, state), SendStatus::Ok);
   const runtime::ObjectState evicted = state.get();
   EXPECT_EQ(evicted.type, "counter");
   EXPECT_EQ(evicted.fields.at("count"), "8");
@@ -165,24 +145,11 @@ TEST_P(TcpLink, DeadListenerIsUnreachableAndRecoversOnRestart) {
   msg.object = "c";
   msg.method = "get";
   std::future<runtime::InvokeResult> reply;
-  if (async()) {
-    // The async backend accepts every send; a dead peer surfaces as the
-    // broken-promise "lost in flight" signal once the connect budget is
-    // exhausted — never as a hang.
-    ASSERT_EQ(tcp_->send_invoke(kSender, 0, msg, reply), SendStatus::Ok);
-    EXPECT_THROW(reply.get(), std::future_error);
-  } else {
-    // The first send may still ride the old connection (Closed when the
-    // write hits the reset) or fail to reconnect (Unreachable); either way
-    // it is a typed rejection, not a hang.
-    SendStatus status = tcp_->send_invoke(kSender, 0, msg, reply);
-    if (status == SendStatus::Ok) {
-      // Accepted just before the reset was observed: the reply must break.
-      EXPECT_THROW(reply.get(), std::future_error);
-      status = tcp_->send_invoke(kSender, 0, msg, reply);
-    }
-    EXPECT_NE(status, SendStatus::Ok);
-  }
+  // The transport accepts every send; a dead peer surfaces as the
+  // broken-promise "lost in flight" signal once the connect budget is
+  // exhausted — never as a hang.
+  ASSERT_EQ(tcp_->send_invoke(kSender, 0, msg, reply), SendStatus::Ok);
+  EXPECT_THROW(reply.get(), std::future_error);
 
   // Restart on the same port (the node itself kept running, so the object
   // is still there) — the transport reconnects transparently.
@@ -296,7 +263,7 @@ void run_workflow(LiveSystem& sys) {
 
 TEST(TransportEquivalence, TcpBackendRunsTheWorkflowIdentically) {
   for (const TransportKind kind :
-       {TransportKind::InProc, TransportKind::Tcp, TransportKind::AsyncTcp}) {
+       {TransportKind::InProc, TransportKind::AsyncTcp}) {
     LiveSystem sys{system_options(kind, 3)};
     run_workflow(sys);
     EXPECT_EQ(sys.refused_moves(), 1u);
@@ -307,15 +274,9 @@ TEST(TransportEquivalence, TcpBackendRunsTheWorkflowIdentically) {
 
 TEST(TransportEquivalence, ProtocolTracesMatchAcrossBackends) {
   trace::TraceLog inproc_trace;
-  trace::TraceLog tcp_trace;
   trace::TraceLog async_trace;
   {
     LiveSystem sys{system_options(TransportKind::InProc, 3, &inproc_trace)};
-    run_workflow(sys);
-    sys.stop();
-  }
-  {
-    LiveSystem sys{system_options(TransportKind::Tcp, 3, &tcp_trace)};
     run_workflow(sys);
     sys.stop();
   }
@@ -326,9 +287,8 @@ TEST(TransportEquivalence, ProtocolTracesMatchAcrossBackends) {
   }
   ASSERT_GT(inproc_trace.size(), 0u);
   // Identical protocol history, event for event, on the logical clock —
-  // whether traffic stays in-process, blocks on sockets, or multiplexes
-  // through the proactor loop.
-  EXPECT_EQ(inproc_trace.render(10'000), tcp_trace.render(10'000));
+  // whether traffic stays in-process or multiplexes through the proactor
+  // loop.
   EXPECT_EQ(inproc_trace.render(10'000), async_trace.render(10'000));
   // And the history is not just equal but *valid*.
   EXPECT_EQ(trace::check::locks_balance(inproc_trace), "");
@@ -351,23 +311,17 @@ TEST(TransportEquivalence, TracesMatchUnderTheSameFaultPlan) {
     return dropped;
   };
   trace::TraceLog inproc_trace;
-  trace::TraceLog tcp_trace;
   trace::TraceLog async_trace;
   const std::uint64_t inproc_dropped = run(TransportKind::InProc,
                                            &inproc_trace);
-  const std::uint64_t tcp_dropped = run(TransportKind::Tcp, &tcp_trace);
   const std::uint64_t async_dropped = run(TransportKind::AsyncTcp,
                                           &async_trace);
   // Same seed, same delivery order, same injector stream: identical fault
   // sequences and identical protocol histories on every backend. The
   // async backend consumes the injector stream on the caller's thread
   // precisely so this holds.
-  EXPECT_EQ(inproc_dropped, tcp_dropped);
   EXPECT_EQ(inproc_dropped, async_dropped);
-  EXPECT_EQ(inproc_trace.render(10'000), tcp_trace.render(10'000));
   EXPECT_EQ(inproc_trace.render(10'000), async_trace.render(10'000));
-  EXPECT_EQ(trace::check::locks_balance(tcp_trace), "");
-  EXPECT_EQ(trace::check::transits_alternate(tcp_trace), "");
   EXPECT_EQ(trace::check::locks_balance(async_trace), "");
   EXPECT_EQ(trace::check::transits_alternate(async_trace), "");
 }
@@ -386,32 +340,6 @@ TEST(TransportFaults, CrashedNodeCountsTypedRejections) {
   // Every delivery attempt was rejected by the closed mailbox — counted,
   // not inferred from broken promises.
   EXPECT_GE(sys.send_rejections(), 3u);
-  sys.stop();
-}
-
-TEST(TransportFaults, TcpCrashRestartRecoversObjects) {
-  LiveSystem::Options opts = system_options(TransportKind::Tcp, 2);
-  opts.max_retries = 4;
-  LiveSystem sys{opts};
-  runtime::register_demo_types(sys);
-  sys.start();
-  ASSERT_TRUE(
-      sys.create("c", runtime::make_state("counter", {{"count", "0"}}), 1));
-  ASSERT_TRUE(sys.invoke("c", "add", "5").ok);
-
-  sys.crash_node(1);
-  EXPECT_FALSE(sys.node_up(1));
-  EXPECT_FALSE(sys.invoke("c", "get", "").ok);
-  EXPECT_GE(sys.send_rejections(), 1u);
-
-  sys.restart_node(1);
-  EXPECT_TRUE(sys.node_up(1));
-  // Recovered from the creation checkpoint: post-checkpoint updates are
-  // lost (degraded mode), the object itself survives.
-  const runtime::InvokeResult result = sys.invoke("c", "get", "");
-  EXPECT_TRUE(result.ok);
-  EXPECT_EQ(result.value, "0");
-  EXPECT_EQ(sys.recoveries(), 1u);
   sys.stop();
 }
 

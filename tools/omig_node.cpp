@@ -27,7 +27,7 @@
 //             [--policy sedentary|conventional|placement|compare-nodes|
 //                       compare-reinstantiate|load-share|adaptive|
 //                       adaptive-load]
-//             [--hysteresis X] [--transport tcp|async]
+//             [--hysteresis X]
 //       Spawns N child node processes and coordinates them as a remote
 //       LiveSystem. Without --scenario it drives the office workflow
 //       (docs/transport.md); with --scenario it replays the named
@@ -88,7 +88,7 @@ int usage(const char* argv0) {
                "compare-nodes|\n"
                "                        compare-reinstantiate|load-share|"
                "adaptive|adaptive-load]\n"
-               "              [--hysteresis X] [--transport tcp|async]\n",
+               "              [--hysteresis X]\n",
                argv0, argv0);
   return 2;
 }
@@ -203,7 +203,7 @@ int serve(std::size_t id, std::uint16_t port, const std::string& port_file,
   }
 
   // The server thread flags the Shutdown frame so main can exit; the
-  // bridge still forwards it as MsgStop, which ends the node loop.
+  // bridge has already closed the node's mailbox, which ends its loop.
   std::mutex mutex;
   std::condition_variable cv;
   bool stopping = false;
@@ -280,9 +280,6 @@ struct ClusterOptions {
   /// move()/visit() semantics of the coordinator (docs/policies.md).
   migration::PolicyKind policy = migration::PolicyKind::Placement;
   double hysteresis = 0.2;  ///< adaptive kinds: EMA share margin
-  /// Coordinator-side transport backend (docs/transport.md): the blocking
-  /// thread-per-peer client or the event-loop proactor.
-  runtime::TransportKind transport = runtime::TransportKind::Tcp;
 };
 
 /// One line of adaptive-policy telemetry, when the run collected any.
@@ -398,7 +395,6 @@ int cluster(const char* argv0, std::size_t count,
     opts.remote_nodes = peers;
     opts.policy = copts.policy;
     opts.hysteresis_band = copts.hysteresis;
-    opts.transport = copts.transport;
     runtime::LiveSystem sys{opts};
     runtime::register_demo_types(sys);
     sys.start();
@@ -411,7 +407,6 @@ int cluster(const char* argv0, std::size_t count,
     opts.remote_nodes = peers;
     opts.policy = copts.policy;
     opts.hysteresis_band = copts.hysteresis;
-    opts.transport = copts.transport;
     runtime::LiveSystem sys{opts};
     runtime::register_demo_types(sys);
     sys.start();
@@ -559,18 +554,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage(argv[0]);
       cluster_opts.hysteresis = std::strtod(v, nullptr);
-    } else if (arg == "--transport") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      const std::string kind = v;
-      if (kind == "tcp") {
-        cluster_opts.transport = runtime::TransportKind::Tcp;
-      } else if (kind == "async") {
-        cluster_opts.transport = runtime::TransportKind::AsyncTcp;
-      } else {
-        std::fprintf(stderr, "unknown transport '%s' (tcp|async)\n", v);
-        return usage(argv[0]);
-      }
     } else {
       return usage(argv[0]);
     }
