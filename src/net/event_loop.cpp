@@ -1,14 +1,13 @@
 #include "net/event_loop.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/assert.hpp"
 
 namespace omig::net {
 
-EventLoop::EventLoop(Options opts)
-    : poller_(make_poller(opts.backend)),
-      epoch_(std::chrono::steady_clock::now()) {}
+EventLoop::EventLoop() : epoch_(std::chrono::steady_clock::now()) {}
 
 EventLoop::~EventLoop() {
   stop();
@@ -42,7 +41,7 @@ void EventLoop::run() {
 
 void EventLoop::stop() {
   stop_requested_.store(true, std::memory_order_release);
-  poller_->wake();
+  poller_.wake();
   if (on_loop_thread()) return;  // loop exits after this iteration
   std::lock_guard lock{lifecycle_mutex_};
   if (thread_.joinable()) thread_.join();
@@ -53,42 +52,46 @@ void EventLoop::post(std::function<void()> fn) {
     std::lock_guard lock{post_mutex_};
     posted_.push_back(std::move(fn));
   }
-  poller_->wake();
+  poller_.wake();
 }
 
-void EventLoop::spawn(sim::Task task) {
+void EventLoop::spawn(sim::Task task, TaskGroup* group) {
   if (on_loop_thread()) {
-    spawn_on_loop(std::move(task));
+    spawn_on_loop(std::move(task), group);
     return;
   }
   // std::function requires a copyable callable; shuttle the move-only
   // task through a shared_ptr.
   auto boxed = std::make_shared<sim::Task>(std::move(task));
-  post([this, boxed] { spawn_on_loop(std::move(*boxed)); });
+  post([this, boxed, group] { spawn_on_loop(std::move(*boxed), group); });
 }
 
-void EventLoop::spawn_on_loop(sim::Task task) {
+void EventLoop::spawn_on_loop(sim::Task task, TaskGroup* group) {
   OMIG_ASSERT(on_loop_thread());
   if (shutting_down_ || !task.valid()) return;
   std::uint64_t id = next_task_id_++;
   auto [it, inserted] =
-      tasks_.emplace(id, task_wrapper(this, std::move(task), id));
+      tasks_.emplace(id, task_wrapper(this, std::move(task), id, group));
   OMIG_ASSERT(inserted);
+  if (group != nullptr) ++group->live_;
   schedule(it->second.handle());
 }
 
 sim::Task EventLoop::task_wrapper(EventLoop* loop, sim::Task inner,
-                                  std::uint64_t id) {
+                                  std::uint64_t id, TaskGroup* group) {
   try {
     co_await inner;
   } catch (...) {
     loop->tasks_failed_.fetch_add(1, std::memory_order_relaxed);
   }
-  loop->task_finished(id);
+  loop->task_finished(id, group);
 }
 
-void EventLoop::task_finished(std::uint64_t id) {
+void EventLoop::task_finished(std::uint64_t id, TaskGroup* group) {
   finished_tasks_.push_back(id);
+  if (group != nullptr && --group->live_ == 0 && group->waiter_) {
+    schedule(std::exchange(group->waiter_, {}));
+  }
 }
 
 void EventLoop::schedule(std::coroutine_handle<> h) {
@@ -206,12 +209,13 @@ void EventLoop::add_fd_wait(int fd, bool write, std::coroutine_handle<> h,
 }
 
 void EventLoop::sync_fd_interest(int fd, const FdWaits& waits) {
-  poller_->update(fd, static_cast<bool>(waits.read.handle),
+  poller_.update(fd, static_cast<bool>(waits.read.handle),
                   static_cast<bool>(waits.write.handle));
 }
 
 void EventLoop::cancel_fd(int fd) {
   OMIG_ASSERT(on_loop_thread());
+  poller_.update(fd, false, false);  // also drops a disarmed registration
   auto it = fd_waits_.find(fd);
   if (it == fd_waits_.end()) return;
   for (Waiter* w : {&it->second.read, &it->second.write}) {
@@ -222,7 +226,6 @@ void EventLoop::cancel_fd(int fd) {
     }
   }
   fd_waits_.erase(it);
-  poller_->update(fd, false, false);
 }
 
 void EventLoop::dispatch(const std::vector<PollerEvent>& events) {
@@ -240,9 +243,10 @@ void EventLoop::dispatch(const std::vector<PollerEvent>& events) {
       schedule(waits.write.handle);
       waits.write = {};
     }
+    // The report disarmed the one-shot registration: re-arm only what
+    // still waits, and keep the fd registered for its next waiter.
     if (!waits.read.handle && !waits.write.handle) {
       fd_waits_.erase(it);
-      poller_->update(ev.fd, false, false);
     } else {
       sync_fd_interest(ev.fd, waits);
     }
@@ -282,7 +286,7 @@ void EventLoop::loop_body() {
     reap_tasks();
     if (stop_requested_.load(std::memory_order_acquire)) break;
     events_.clear();
-    poller_->wait(compute_timeout(), events_);
+    poller_.wait(compute_timeout(), events_);
     dispatch(events_);
   }
 }

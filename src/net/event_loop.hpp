@@ -5,8 +5,8 @@
 // coroutine tasks. Protocol code is written as straight-line C++20
 // coroutines (the same `sim::Task` the simulator uses, so frames come
 // from the thread-local FramePool) that `co_await` readiness, timers
-// and events; the loop multiplexes thousands of them over one epoll or
-// io_uring descriptor instead of one thread each.
+// and events; the loop multiplexes thousands of them over one epoll
+// descriptor (poller.hpp) instead of one thread each.
 //
 // Threading contract — the core of the design:
 //   * `post(fn)` and `stop()` are the ONLY thread-safe entry points
@@ -52,14 +52,11 @@
 
 namespace omig::net {
 
+class TaskGroup;
+
 class EventLoop {
 public:
-  struct Options {
-    PollBackend backend = PollBackend::Auto;
-  };
-
-  EventLoop() : EventLoop(Options{}) {}
-  explicit EventLoop(Options opts);
+  EventLoop();
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -80,7 +77,6 @@ public:
     return std::this_thread::get_id() ==
            loop_thread_.load(std::memory_order_acquire);
   }
-  [[nodiscard]] const char* backend_name() const { return poller_->name(); }
 
   /// Thread-safe: runs `fn` on the loop thread in FIFO order. Posts
   /// made after stop() (or never drained before it) are dropped —
@@ -90,8 +86,9 @@ public:
   /// Adopts and starts a coroutine task on the loop. Callable from any
   /// thread; the task body always executes on the loop thread. The
   /// loop owns the frame: finished tasks are reaped each iteration,
-  /// still-suspended ones are destroyed at stop().
-  void spawn(sim::Task task);
+  /// still-suspended ones are destroyed at stop(). With a `group`, the
+  /// task is a member of it until it ends.
+  void spawn(sim::Task task, TaskGroup* group = nullptr);
 
   // ---- loop-thread-only API ------------------------------------------
 
@@ -103,7 +100,7 @@ public:
   bool cancel_timer(std::uint64_t id);
 
   /// Resumes any waiter on `fd` with `false` and drops poller
-  /// interest. Call before close(fd) whenever a waiter may be armed.
+  /// interest. Call before close(fd) whenever the fd was waited on.
   void cancel_fd(int fd);
 
   /// Queues `h` for resumption from the loop body (never inline).
@@ -186,10 +183,10 @@ private:
   [[nodiscard]] std::chrono::milliseconds compute_timeout();
   void dispatch(const std::vector<PollerEvent>& events);
   void shutdown_on_loop();
-  void spawn_on_loop(sim::Task task);
-  void task_finished(std::uint64_t id);
+  void spawn_on_loop(sim::Task task, TaskGroup* group);
+  void task_finished(std::uint64_t id, TaskGroup* group);
   static sim::Task task_wrapper(EventLoop* loop, sim::Task inner,
-                                std::uint64_t id);
+                                std::uint64_t id, TaskGroup* group);
 
   [[nodiscard]] std::uint64_t now_tick() const;
   void add_timer(TimerEntry entry, std::chrono::milliseconds delay);
@@ -197,7 +194,7 @@ private:
   void add_fd_wait(int fd, bool write, std::coroutine_handle<> h, bool* ok);
   void sync_fd_interest(int fd, const FdWaits& waits);
 
-  std::unique_ptr<Poller> poller_;
+  Poller poller_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> finished_{false};
@@ -291,6 +288,26 @@ private:
   EventLoop* loop_;
   bool set_ = false;
   Waiter waiter_{};
+};
+
+/// The coroutines one component spawned on a shared loop, so that its
+/// teardown can `co_await group` before the component is freed: the
+/// waiter resumes when the last member ends, and at once when there is
+/// none. Loop-thread only; one waiter at a time.
+class TaskGroup {
+public:
+  TaskGroup() = default;
+  TaskGroup(const TaskGroup&) = delete;
+  TaskGroup& operator=(const TaskGroup&) = delete;
+
+  bool await_ready() const noexcept { return live_ == 0; }
+  void await_suspend(std::coroutine_handle<> h) noexcept { waiter_ = h; }
+  void await_resume() const noexcept {}
+
+private:
+  friend class EventLoop;
+  std::size_t live_ = 0;
+  std::coroutine_handle<> waiter_{};
 };
 
 }  // namespace omig::net

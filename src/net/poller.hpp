@@ -1,40 +1,28 @@
-// Readiness backend for the event loop.
+// Readiness poller for the event loop: epoll(7).
 //
-// The loop itself (event_loop.hpp) is backend-agnostic: it tracks which
-// coroutine waits on which fd and in which direction, and asks a Poller
-// to block until something happens. Two backends implement the
-// interface:
+// The loop (event_loop.hpp) tracks which coroutine waits on which fd and
+// in which direction, and asks the Poller to block until something
+// happens. `update` declares the directions the loop currently cares
+// about for an fd (read, write, both, or none), and `wait` reports fds
+// that became ready. Error/hangup conditions are reported as ready in
+// every armed direction so the waiter wakes up and observes the failure
+// from the actual read/write call — the loop never interprets errors
+// itself.
 //
-//  * epoll   — always available, the default. Level-triggered with
-//              per-fd interest updated as waiters come and go.
-//  * io_uring — compiled in when <linux/io_uring.h> is present at
-//              configure time (OMIG_HAVE_IO_URING) and selected at
-//              runtime only if io_uring_setup() actually works — the
-//              syscall is often blocked by seccomp in containers, in
-//              which case construction falls back to epoll. Built on
-//              raw syscalls (no liburing dependency): single-shot
-//              IORING_OP_POLL_ADD per armed direction, an eventfd for
-//              cross-thread wakeups, IORING_OP_TIMEOUT for the block
-//              timeout.
-//
-// Both backends speak the same readiness contract: `update` declares
-// the directions the loop currently cares about for an fd (read, write,
-// both, or none), and `wait` reports fds that became ready. Error/hangup
-// conditions are reported as ready in every armed direction so the
-// waiter wakes up and observes the failure from the actual read/write
-// call — the loop never interprets errors itself.
+// Level-triggered and one-shot: a report disarms the fd, and the loop
+// re-arms it when the next waiter parks — one epoll_ctl per wait. The fd
+// stays registered while disarmed; update(fd, false, false) removes it
+// (the loop does so before the fd is closed). Cross-thread wake() goes
+// through an eventfd that stays registered for reading; a wake() written
+// before epoll_wait still registers (the counter stays nonzero until
+// drained).
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
 namespace omig::net {
-
-/// Which backend to construct. `Auto` prefers io_uring when it is both
-/// compiled in and permitted by the kernel/sandbox, else epoll.
-enum class PollBackend : std::uint8_t { Auto, Epoll, IoUring };
 
 /// One readiness report from Poller::wait.
 struct PollerEvent {
@@ -45,34 +33,33 @@ struct PollerEvent {
 
 class Poller {
 public:
-  virtual ~Poller() = default;
+  Poller();
+  ~Poller();
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
 
-  /// Backend name for logs/metrics ("epoll" or "io_uring").
-  [[nodiscard]] virtual const char* name() const = 0;
+  /// Name for logs and machine records.
+  [[nodiscard]] const char* name() const { return "epoll"; }
 
-  /// Declares interest in `fd`: wake when readable (`read`) and/or
-  /// writable (`write`). Both false removes the fd entirely. Idempotent.
-  virtual void update(int fd, bool read, bool write) = 0;
+  /// Arms `fd` for one report: when readable (`read`) and/or writable
+  /// (`write`). Both false removes the fd entirely. Idempotent.
+  void update(int fd, bool read, bool write);
 
   /// Blocks up to `timeout` (negative = forever, zero = poll) and
-  /// appends readiness reports to `out`. Returns the number appended.
-  /// Spurious wakeups (empty `out`) are allowed — e.g. a cross-thread
-  /// `wake()`.
-  virtual int wait(std::chrono::milliseconds timeout,
-                   std::vector<PollerEvent>& out) = 0;
+  /// appends readiness reports to `out`. Spurious wakeups (empty `out`)
+  /// are allowed — e.g. a cross-thread `wake()`.
+  void wait(std::chrono::milliseconds timeout, std::vector<PollerEvent>& out);
 
   /// Thread-safe: interrupts a concurrent `wait`. Used by the loop's
   /// cross-thread post path.
-  virtual void wake() = 0;
+  void wake();
+
+private:
+  int epfd_ = -1;
+  int wakefd_ = -1;
 };
 
-/// Builds the requested backend. `Auto` and `IoUring` fall back to
-/// epoll when io_uring is unavailable (not compiled in, or the setup
-/// syscall is rejected at runtime); epoll construction never fails.
-std::unique_ptr<Poller> make_poller(PollBackend kind = PollBackend::Auto);
-
-/// True when the io_uring backend was compiled in AND the kernel
-/// accepts io_uring_setup (probed once, result cached).
-bool io_uring_available();
+/// A standalone poller, e.g. to name the one the event loop runs on.
+std::unique_ptr<Poller> make_poller();
 
 }  // namespace omig::net

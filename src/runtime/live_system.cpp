@@ -594,27 +594,24 @@ void LiveSystem::relocate(const std::vector<ObjectId>& objects,
     }
     OMIG_ASSERT(!state->type.empty());
 
-    // Linearise for the wire (Section 3.1) — the destination rebuilds the
-    // object from bytes, never from shared memory.
-    const std::vector<std::uint8_t> wire = encode(*state);
     if (options_.remote_latency.count() > 0) {
       std::this_thread::sleep_for(options_.remote_latency);  // transfer
     }
-    auto decoded = decode(wire);
-    OMIG_ASSERT(decoded.has_value());
-
     {
       // The state now in flight becomes the object's recovery checkpoint.
       std::lock_guard lock{mutex_};
-      meta(id).checkpoint = *decoded;
+      meta(id).checkpoint = *state;
     }
 
+    // The install carries the state by value; the AsyncTcp backend
+    // linearises it for the wire (Section 3.1), so a socket destination
+    // rebuilds the object from bytes, never from shared memory.
     std::size_t target = dest;
-    if (!install_with_retry(dest, name, *decoded, src)) {
+    if (!install_with_retry(dest, name, *state, src)) {
       // Destination died mid-move: put the object back on the source. If
       // that is down too, the directory entry plus checkpoint let restart
       // reconciliation revive it there — the object is never lost.
-      install_with_retry(src, name, *decoded, dest);
+      install_with_retry(src, name, *state, dest);
       target = src;
     }
 
@@ -639,7 +636,7 @@ void LiveSystem::relocate(const std::vector<ObjectId>& objects,
       // so no acked migration is ever lost (docs/durability.md).
       (void)store_->migration(name, src, target);
       const auto outcome =
-          store_->checkpoint(name, target, cursor, encode(*decoded));
+          store_->checkpoint(name, target, cursor, encode(*state));
       std::lock_guard lock{mutex_};
       meta(id).durable = outcome.durable;
     }

@@ -34,8 +34,7 @@ AsyncTcpTransport::AsyncTcpTransport(Options options,
   if (options_.loop != nullptr) {
     loop_ = options_.loop;
   } else {
-    owned_loop_ = std::make_unique<net::EventLoop>(
-        net::EventLoop::Options{options_.backend});
+    owned_loop_ = std::make_unique<net::EventLoop>();
     owned_loop_->start();
     loop_ = owned_loop_.get();
   }
@@ -52,9 +51,11 @@ AsyncTcpTransport::AsyncTcpTransport(Options options,
 AsyncTcpTransport::~AsyncTcpTransport() {
   stopping_.store(true, std::memory_order_release);
   if (loop_->running()) {
-    std::promise<void> done;
-    std::future<void> finished = done.get_future();
-    loop_->post([this, &done] { loop_->spawn(teardown_task(this, &done)); });
+    // The teardown co-owns the promise: if the loop drops it unrun, the
+    // promise breaks and the wait below ends at once.
+    auto done = std::make_shared<std::promise<void>>();
+    std::future<void> finished = done->get_future();
+    loop_->spawn(teardown_task(this, done));
     (void)finished.wait_for(std::chrono::seconds{5});
   }
   if (owned_loop_) owned_loop_->stop();
@@ -171,7 +172,7 @@ void AsyncTcpTransport::ensure_conn_active(Conn& conn) {
   }
   if (conn.connecting) return;  // the dialler picks the queue up on success
   conn.connecting = true;
-  loop_->spawn(connect_task(this, &conn));
+  loop_->spawn(connect_task(this, &conn), &tasks_);
 }
 
 void AsyncTcpTransport::fail_conn(Conn& conn) {
@@ -198,7 +199,6 @@ void AsyncTcpTransport::reset_conn_on_loop(std::size_t node,
 }
 
 sim::Task AsyncTcpTransport::connect_task(AsyncTcpTransport* t, Conn* conn) {
-  TaskGuard guard{t};
   net::EventLoop& loop = *t->loop_;
   for (int attempt = 0; attempt < t->options_.max_connect_attempts;
        ++attempt) {
@@ -231,8 +231,8 @@ sim::Task AsyncTcpTransport::connect_task(AsyncTcpTransport* t, Conn* conn) {
     }
     conn->ever_connected = true;
     conn->connecting = false;
-    loop.spawn(reader_task(t, conn, fd, generation));
-    loop.spawn(writer_task(t, conn, fd, generation));
+    loop.spawn(reader_task(t, conn, fd, generation), &t->tasks_);
+    loop.spawn(writer_task(t, conn, fd, generation), &t->tasks_);
     co_return;
   }
   // Budget exhausted (or shutdown): everyone awaiting a reply on this
@@ -246,7 +246,6 @@ sim::Task AsyncTcpTransport::connect_task(AsyncTcpTransport* t, Conn* conn) {
 
 sim::Task AsyncTcpTransport::writer_task(AsyncTcpTransport* t, Conn* conn,
                                          int fd, std::uint64_t generation) {
-  TaskGuard guard{t};
   net::EventLoop& loop = *t->loop_;
   for (;;) {
     while (conn->generation == generation && conn->outq.empty()) {
@@ -279,7 +278,6 @@ sim::Task AsyncTcpTransport::writer_task(AsyncTcpTransport* t, Conn* conn,
 
 sim::Task AsyncTcpTransport::reader_task(AsyncTcpTransport* t, Conn* conn,
                                          int fd, std::uint64_t generation) {
-  TaskGuard guard{t};
   net::EventLoop& loop = *t->loop_;
   FrameBuffer frames;
   for (;;) {
@@ -321,8 +319,8 @@ sim::Task AsyncTcpTransport::reader_task(AsyncTcpTransport* t, Conn* conn,
   }
 }
 
-sim::Task AsyncTcpTransport::teardown_task(AsyncTcpTransport* t,
-                                           std::promise<void>* done) {
+sim::Task AsyncTcpTransport::teardown_task(
+    AsyncTcpTransport* t, std::shared_ptr<std::promise<void>> done) {
   net::EventLoop& loop = *t->loop_;
   // Short grace so frames already queued (a shutdown burst, tail
   // replies) reach the wire before the links are torn down.
@@ -341,9 +339,7 @@ sim::Task AsyncTcpTransport::teardown_task(AsyncTcpTransport* t,
   // Wait for every reader/writer/connect coroutine to observe the reset
   // and finish — after this nothing on the loop references the conns,
   // so the destructor can free them even when the loop is shared.
-  for (int i = 0; i < 4000 && t->live_tasks_ > 0; ++i) {
-    co_await loop.sleep_for(std::chrono::milliseconds{1});
-  }
+  co_await t->tasks_;
   done->set_value();
 }
 

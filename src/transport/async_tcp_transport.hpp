@@ -52,8 +52,6 @@ public:
     /// Run on this loop (shared with e.g. the NodeServers of the same
     /// process); nullptr = own a private loop + thread.
     net::EventLoop* loop = nullptr;
-    /// Poller backend for the owned loop (ignored with an external one).
-    net::PollBackend backend = net::PollBackend::Auto;
   };
 
   AsyncTcpTransport(Options options, fault::FaultInjector* injector);
@@ -145,7 +143,7 @@ private:
   static sim::Task reader_task(AsyncTcpTransport* t, Conn* conn, int fd,
                                std::uint64_t generation);
   static sim::Task teardown_task(AsyncTcpTransport* t,
-                                 std::promise<void>* done);
+                                 std::shared_ptr<std::promise<void>> done);
 
   Options options_;
   std::unique_ptr<net::EventLoop> owned_loop_;
@@ -154,20 +152,12 @@ private:
   std::atomic<std::uint64_t> next_corr_{1};
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<bool> stopping_{false};
-  std::uint64_t live_tasks_ = 0;  ///< loop-thread only; teardown drains to 0
+  /// Every connect/reader/writer coroutine; loop-thread only. The
+  /// teardown waits for it to drain before the conns are freed.
+  net::TaskGroup tasks_;
   /// Shared recv scratch: loop-thread only and never held across a
   /// suspension point, so one buffer serves every reader coroutine.
   std::vector<std::uint8_t> read_scratch_;
-
-  struct TaskGuard {
-    explicit TaskGuard(AsyncTcpTransport* t) : t_(t) { ++t_->live_tasks_; }
-    ~TaskGuard() { --t_->live_tasks_; }
-    TaskGuard(const TaskGuard&) = delete;
-    TaskGuard& operator=(const TaskGuard&) = delete;
-
-  private:
-    AsyncTcpTransport* t_;
-  };
 };
 
 }  // namespace omig::transport

@@ -1,156 +1,68 @@
 #include "transport/metrics_exporter.hpp"
 
-#include <utility>
-#include <vector>
-
 #include "transport/tcp.hpp"
 
 namespace omig::transport {
 
+namespace {
+
+/// Scrape requests are a request line and a few headers.
+constexpr std::size_t kMaxRequestBytes = 8192;
+
+}  // namespace
+
 MetricsExporter::MetricsExporter(obs::MetricsRegistry& registry,
                                  net::EventLoop* loop)
-    : registry_{registry}, external_loop_{loop} {}
+    : Listener{loop,
+               [this](const std::shared_ptr<Conn>& conn) {
+                 spawn(serve_task(this, conn));
+               }},
+      registry_{registry} {}
 
-MetricsExporter::~MetricsExporter() { stop(); }
-
-std::uint16_t MetricsExporter::start(std::uint16_t port,
-                                     const std::string& host) {
-  std::lock_guard lock{mutex_};
-  if (listener_fd_ >= 0) return port_;
-  const int fd = tcp_listen(host, port);
-  if (fd < 0) return 0;
-  if (!tcp_set_nonblocking(fd)) {
-    tcp_close(fd);
-    return 0;
-  }
-  listener_fd_ = fd;
-  port_ = tcp_local_port(fd);
-  stopping_.store(false, std::memory_order_release);
-  if (external_loop_ != nullptr) {
-    loop_ = external_loop_;
-  } else {
-    owned_loop_ = std::make_unique<net::EventLoop>();
-    owned_loop_->start();
-    loop_ = owned_loop_.get();
-  }
-  loop_->post([this, fd] { loop_->spawn(accept_task(this, fd)); });
-  return port_;
-}
-
-void MetricsExporter::stop() {
-  std::lock_guard lock{mutex_};
-  if (listener_fd_ < 0) return;
-  stopping_.store(true, std::memory_order_release);
-  const int listener = listener_fd_;
-  if (loop_->running()) {
-    std::promise<void> done;
-    std::future<void> finished = done.get_future();
-    loop_->post([this, listener, &done] {
-      loop_->spawn(teardown_task(this, listener, &done));
-    });
-    (void)finished.wait_for(std::chrono::seconds{5});
-  } else {
-    tcp_close(listener);
-  }
-  listener_fd_ = -1;
-  if (owned_loop_) {
-    owned_loop_->stop();
-    owned_loop_.reset();
-  }
-  loop_ = nullptr;
-}
-
-bool MetricsExporter::running() const {
-  std::lock_guard lock{mutex_};
-  return listener_fd_ >= 0 && !stopping_.load(std::memory_order_acquire);
-}
-
-std::uint16_t MetricsExporter::port() const {
-  std::lock_guard lock{mutex_};
-  return port_;
-}
-
-sim::Task MetricsExporter::accept_task(MetricsExporter* e, int listener) {
-  TaskGuard guard{e};
-  net::EventLoop& loop = *e->loop_;
-  for (;;) {
-    const bool ok = co_await loop.readable(listener);
-    if (!ok || e->stopping_.load(std::memory_order_acquire)) co_return;
-    for (;;) {
-      const long fd = tcp_accept_nonblocking(listener);
-      if (fd == kWouldBlock) break;
-      if (fd < 0) co_return;  // listener is gone
-      e->scrape_fds_.insert(static_cast<int>(fd));
-      loop.spawn(serve_task(e, static_cast<int>(fd)));
-    }
-  }
-}
-
-sim::Task MetricsExporter::serve_task(MetricsExporter* e, int fd) {
-  TaskGuard guard{e};
-  net::EventLoop& loop = *e->loop_;
-  // Read the request until the header terminator; scrapes are tiny, so a
-  // small bounded buffer suffices and anything larger is dropped.
+sim::Task MetricsExporter::serve_task(MetricsExporter* e,
+                                      std::shared_ptr<Conn> conn) {
+  net::EventLoop& loop = e->loop();
+  // Read the request until the header terminator.
   std::string request;
   std::uint8_t chunk[512];
-  bool alive = true;
-  while (alive && request.find("\r\n\r\n") == std::string::npos &&
-         request.find("\n\n") == std::string::npos && request.size() < 8192) {
-    const bool ok = co_await loop.readable(fd);
-    if (!ok || !e->scrape_fds_.contains(fd)) co_return;  // torn down
-    const long n = tcp_read_some(fd, chunk, sizeof chunk);
+  while (request.find("\r\n\r\n") == std::string::npos &&
+         request.find("\n\n") == std::string::npos) {
+    if (request.size() >= kMaxRequestBytes) {  // not a scrape: no answer
+      e->close(*conn);
+      co_return;
+    }
+    const bool ok = co_await loop.readable(conn->fd);
+    if (!ok || conn->closed) co_return;  // torn down
+    const long n = tcp_read_some(conn->fd, chunk, sizeof chunk);
     if (n == kWouldBlock) continue;
     if (n <= 0) {
-      alive = false;
-      break;
+      e->close(*conn);
+      co_return;
     }
     request.append(reinterpret_cast<const char*>(chunk),
                    static_cast<std::size_t>(n));
   }
-  if (alive) {
-    const std::string body = e->registry_.to_prometheus();
-    std::string response =
-        "HTTP/1.0 200 OK\r\n"
-        "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
-        "Content-Length: " + std::to_string(body.size()) + "\r\n"
-        "Connection: close\r\n"
-        "\r\n" + body;
-    std::size_t off = 0;
-    while (off < response.size()) {
-      const long n = tcp_write_some(
-          fd, reinterpret_cast<const std::uint8_t*>(response.data()) + off,
-          response.size() - off);
-      if (n == kWouldBlock) {
-        const bool ok = co_await loop.writable(fd);
-        if (!ok || !e->scrape_fds_.contains(fd)) co_return;
-        continue;
-      }
-      if (n <= 0) break;
-      off += static_cast<std::size_t>(n);
+  const std::string body = e->registry_.to_prometheus();
+  const std::string response =
+      "HTTP/1.0 200 OK\r\n"
+      "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
+      "Content-Length: " + std::to_string(body.size()) + "\r\n"
+      "Connection: close\r\n"
+      "\r\n" + body;
+  std::size_t off = 0;
+  while (off < response.size()) {
+    const long n = tcp_write_some(
+        conn->fd, reinterpret_cast<const std::uint8_t*>(response.data()) + off,
+        response.size() - off);
+    if (n == kWouldBlock) {
+      const bool ok = co_await loop.writable(conn->fd);
+      if (!ok || conn->closed) co_return;
+      continue;
     }
+    if (n <= 0) break;
+    off += static_cast<std::size_t>(n);
   }
-  loop.cancel_fd(fd);
-  tcp_close(fd);
-  e->scrape_fds_.erase(fd);
-}
-
-sim::Task MetricsExporter::teardown_task(MetricsExporter* e, int listener,
-                                         std::promise<void>* done) {
-  net::EventLoop& loop = *e->loop_;
-  loop.cancel_fd(listener);
-  tcp_close(listener);
-  // Cancelling the fds wakes every parked scrape coroutine with `false`;
-  // each checks scrape_fds_ and exits without touching the closed fd.
-  const std::vector<int> open(e->scrape_fds_.begin(), e->scrape_fds_.end());
-  e->scrape_fds_.clear();
-  for (const int fd : open) {
-    loop.cancel_fd(fd);
-    tcp_close(fd);
-  }
-  for (int i = 0; i < 4000 && e->live_tasks_ > 0; ++i) {
-    co_await loop.sleep_for(std::chrono::milliseconds{1});
-  }
-  done->set_value();
+  e->close(*conn);
 }
 
 }  // namespace omig::transport

@@ -5,30 +5,27 @@
 // registry cannot link back up to the sockets. The server side is a
 // deliberately tiny HTTP/1.0 responder: read until the blank line, answer
 // any GET with the full text-format exposition, close. That is exactly
-// what `curl` and a Prometheus scraper need, and nothing more.
+// what `curl` and a Prometheus scraper need, and nothing more. A request
+// that reaches 8 KiB without its blank line is not a scrape; its
+// connection is closed unanswered.
 //
 // Rendering the exposition never blocks, so — unlike the node frame
-// server — every scrape runs entirely as a coroutine on the event loop:
-// no per-connection threads, and therefore no threads to reap. (The old
-// thread-per-scrape implementation only reaped its connection threads in
-// stop(), so a long-lived exporter accumulated one dead thread per
-// scrape; the loop conversion removes the leak by construction.)
+// server's handlers — every scrape runs entirely as one coroutine on the
+// event loop, and no thread is started per scrape. Accepting, the loop
+// and the teardown are the shared Listener's, as for NodeServer.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <future>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_set>
 
 #include "net/event_loop.hpp"
 #include "obs/metrics.hpp"
+#include "transport/listener.hpp"
 
 namespace omig::transport {
 
-class MetricsExporter {
+/// A Listener that answers every connection with one scrape; start(),
+/// stop(), running() and port() are the Listener's.
+class MetricsExporter : private Listener {
 public:
   /// Serves `registry` (usually MetricsRegistry::global()); the registry
   /// must outlive the exporter. `loop` = nullptr: own a private loop per
@@ -36,51 +33,20 @@ public:
   /// must outlive the exporter and keep running across stop().
   explicit MetricsExporter(obs::MetricsRegistry& registry,
                            net::EventLoop* loop = nullptr);
-  ~MetricsExporter();
+  /// Stops here, not in ~Listener: the scrapes refer to this object.
+  ~MetricsExporter() { stop(); }
   MetricsExporter(const MetricsExporter&) = delete;
   MetricsExporter& operator=(const MetricsExporter&) = delete;
 
-  /// Binds `host:port` (0 = ephemeral) and starts answering scrapes.
-  /// Returns the bound port, or 0 on failure. Idempotent while running.
-  std::uint16_t start(std::uint16_t port = 0,
-                      const std::string& host = "127.0.0.1");
-
-  /// Closes the listener and every in-flight scrape. Idempotent;
-  /// start() may be called again afterwards.
-  void stop();
-
-  [[nodiscard]] bool running() const;
-  [[nodiscard]] std::uint16_t port() const;
+  using Listener::port;
+  using Listener::running;
+  using Listener::start;
+  using Listener::stop;
 
 private:
-  static sim::Task accept_task(MetricsExporter* e, int listener);
-  static sim::Task serve_task(MetricsExporter* e, int fd);
-  static sim::Task teardown_task(MetricsExporter* e, int listener,
-                                 std::promise<void>* done);
+  static sim::Task serve_task(MetricsExporter* e, std::shared_ptr<Conn> conn);
 
   obs::MetricsRegistry& registry_;
-  net::EventLoop* const external_loop_;
-
-  mutable std::mutex mutex_;  ///< control plane: start/stop/port
-  std::unique_ptr<net::EventLoop> owned_loop_;
-  net::EventLoop* loop_ = nullptr;  ///< non-null while running
-  int listener_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
-
-  // Loop-thread only:
-  std::unordered_set<int> scrape_fds_;  ///< in-flight scrape connections
-  std::uint64_t live_tasks_ = 0;
-
-  struct TaskGuard {
-    explicit TaskGuard(MetricsExporter* e) : e_(e) { ++e_->live_tasks_; }
-    ~TaskGuard() { --e_->live_tasks_; }
-    TaskGuard(const TaskGuard&) = delete;
-    TaskGuard& operator=(const TaskGuard&) = delete;
-
-  private:
-    MetricsExporter* e_;
-  };
 };
 
 }  // namespace omig::transport

@@ -12,8 +12,11 @@ namespace omig::transport {
 NodeServer::NodeServer(Handler handler, net::EventLoop* loop,
                        int handler_threads)
     : handler_{std::move(handler)},
-      external_loop_{loop},
-      handler_threads_{std::max(1, handler_threads)} {
+      handler_threads_{std::max(1, handler_threads)},
+      listener_{loop, [this](const std::shared_ptr<Listener::Conn>& conn) {
+                  listener_.spawn(reader_task(this, conn));
+                  listener_.spawn(writer_task(this, conn));
+                }} {
   OMIG_REQUIRE(handler_ != nullptr, "server needs a handler");
 }
 
@@ -21,44 +24,36 @@ NodeServer::~NodeServer() { stop(); }
 
 std::uint16_t NodeServer::start(std::uint16_t port, const std::string& host) {
   std::lock_guard lock{mutex_};
-  if (listener_fd_ >= 0) return port_;  // already running: idempotent
-  // Big backlog: the async client side can dial thousands of connections
-  // in one burst (the kernel clamps to somaxconn).
-  const int fd = tcp_listen(host, port, 4096);
-  if (fd < 0) return 0;
-  if (!tcp_set_nonblocking(fd)) {
-    tcp_close(fd);
-    return 0;
-  }
-  listener_fd_ = fd;
-  port_ = tcp_local_port(fd);
-  stopping_.store(false, std::memory_order_release);
-  if (external_loop_ != nullptr) {
-    loop_ = external_loop_;
-  } else {
-    // Loops are single-use, so every start() cycle owns a fresh one.
-    owned_loop_ = std::make_unique<net::EventLoop>();
-    owned_loop_->start();
-    loop_ = owned_loop_.get();
-  }
-  strands_.clear();
+  if (listener_.running()) return listener_.port();  // idempotent
+  // Strands before the listener: the first reader may dispatch at once.
   for (int i = 0; i < handler_threads_; ++i) {
     auto strand = std::make_unique<Strand>();
     Strand* raw = strand.get();
     strand->thread = std::thread{[this, raw] { strand_worker(*raw); }};
     strands_.push_back(std::move(strand));
   }
-  loop_->post([this, fd] { loop_->spawn(accept_task(this, fd)); });
-  return port_;
+  const std::uint16_t bound = listener_.start(port, host);
+  if (bound == 0) {
+    join_strands();
+    strands_.clear();
+  }
+  return bound;
 }
 
 void NodeServer::stop() {
   std::lock_guard lock{mutex_};
-  if (listener_fd_ < 0) return;  // already stopped: idempotent
-  stopping_.store(true, std::memory_order_release);
+  if (!listener_.running()) return;  // already stopped: idempotent
   // Strands first: in-flight handlers finish, queued frames are dropped,
   // and after the joins no strand can post replies any more — so the
-  // teardown task below (FIFO after any reply post) sees the last of them.
+  // listener's teardown (FIFO after any reply post) sees the last of them.
+  join_strands();
+  // strands_ stays populated until the teardown quiesced the reader
+  // coroutines — they push into the strand queues without mutex_.
+  listener_.stop();
+  strands_.clear();
+}
+
+void NodeServer::join_strands() {
   for (auto& strand : strands_) {
     {
       std::lock_guard strand_lock{strand->mutex};
@@ -69,60 +64,12 @@ void NodeServer::stop() {
   for (auto& strand : strands_) {
     if (strand->thread.joinable()) strand->thread.join();
   }
-  // strands_ stays populated until the teardown below quiesced the reader
-  // coroutines — they push into the strand queues without mutex_.
-  const int listener = listener_fd_;
-  if (loop_->running()) {
-    std::promise<void> done;
-    std::future<void> finished = done.get_future();
-    loop_->post([this, listener, &done] {
-      loop_->spawn(teardown_task(this, listener, &done));
-    });
-    (void)finished.wait_for(std::chrono::seconds{5});
-  } else {
-    tcp_close(listener);  // external loop died first; just free the fd
-  }
-  strands_.clear();
-  listener_fd_ = -1;
-  if (owned_loop_) {
-    owned_loop_->stop();
-    owned_loop_.reset();
-  }
-  loop_ = nullptr;
 }
 
-bool NodeServer::running() const {
-  std::lock_guard lock{mutex_};
-  return listener_fd_ >= 0 && !stopping_.load(std::memory_order_acquire);
-}
-
-std::uint16_t NodeServer::port() const {
-  std::lock_guard lock{mutex_};
-  return port_;
-}
-
-sim::Task NodeServer::accept_task(NodeServer* s, int listener) {
-  TaskGuard guard{s};
-  net::EventLoop& loop = *s->loop_;
-  for (;;) {
-    const bool ok = co_await loop.readable(listener);
-    if (!ok || s->stopping_.load(std::memory_order_acquire)) co_return;
-    for (;;) {  // drain the whole accept burst before sleeping again
-      const int fd = static_cast<int>(tcp_accept_nonblocking(listener));
-      if (fd == kWouldBlock) break;
-      if (fd < 0) co_return;  // listener is gone
-      auto conn = std::make_shared<Conn>(loop, s->next_conn_id_++);
-      conn->fd = fd;
-      s->conns_.emplace(conn->id, conn);
-      loop.spawn(reader_task(s, conn));
-      loop.spawn(writer_task(s, conn));
-    }
-  }
-}
-
-sim::Task NodeServer::reader_task(NodeServer* s, std::shared_ptr<Conn> conn) {
-  TaskGuard guard{s};
-  net::EventLoop& loop = *s->loop_;
+sim::Task NodeServer::reader_task(NodeServer* s,
+                                  std::shared_ptr<Listener::Conn> conn) {
+  Listener& listener = s->listener_;
+  net::EventLoop& loop = listener.loop();
   FrameBuffer frames;
   for (;;) {
     const bool ok = co_await loop.readable(conn->fd);
@@ -132,7 +79,7 @@ sim::Task NodeServer::reader_task(NodeServer* s, std::shared_ptr<Conn> conn) {
                                  s->read_scratch_.size());
     if (n == kWouldBlock) continue;
     if (n <= 0) {  // EOF, reset, or malformed close below
-      s->close_conn(*conn);
+      listener.close(*conn);
       co_return;
     }
     obs::node_metrics().server_bytes_in->inc(static_cast<std::uint64_t>(n));
@@ -148,15 +95,16 @@ sim::Task NodeServer::reader_task(NodeServer* s, std::shared_ptr<Conn> conn) {
       strand.cv.notify_one();
     }
     if (frames.error()) {  // malformed stream: drop the connection
-      s->close_conn(*conn);
+      listener.close(*conn);
       co_return;
     }
   }
 }
 
-sim::Task NodeServer::writer_task(NodeServer* s, std::shared_ptr<Conn> conn) {
-  TaskGuard guard{s};
-  net::EventLoop& loop = *s->loop_;
+sim::Task NodeServer::writer_task(NodeServer* s,
+                                  std::shared_ptr<Listener::Conn> conn) {
+  Listener& listener = s->listener_;
+  net::EventLoop& loop = listener.loop();
   for (;;) {
     while (!conn->closed && conn->outq.empty()) {
       if (!co_await conn->out_ready.wait()) co_return;
@@ -171,7 +119,7 @@ sim::Task NodeServer::writer_task(NodeServer* s, std::shared_ptr<Conn> conn) {
       continue;
     }
     if (n <= 0) {
-      s->close_conn(*conn);
+      listener.close(*conn);
       co_return;
     }
     conn->out_off += static_cast<std::size_t>(n);
@@ -181,22 +129,6 @@ sim::Task NodeServer::writer_task(NodeServer* s, std::shared_ptr<Conn> conn) {
       conn->out_off = 0;
     }
   }
-}
-
-sim::Task NodeServer::teardown_task(NodeServer* s, int listener,
-                                    std::promise<void>* done) {
-  net::EventLoop& loop = *s->loop_;
-  loop.cancel_fd(listener);
-  tcp_close(listener);
-  // Snapshot: close_conn erases from conns_ while we iterate.
-  std::vector<std::shared_ptr<Conn>> open;
-  open.reserve(s->conns_.size());
-  for (auto& [id, conn] : s->conns_) open.push_back(conn);
-  for (auto& conn : open) s->close_conn(*conn);
-  for (int i = 0; i < 4000 && s->live_tasks_ > 0; ++i) {
-    co_await loop.sleep_for(std::chrono::milliseconds{1});
-  }
-  done->set_value();
 }
 
 void NodeServer::strand_worker(Strand& strand) {
@@ -213,30 +145,19 @@ void NodeServer::strand_worker(Strand& strand) {
     std::optional<Frame> reply = handler_(std::move(work.second));
     if (!reply.has_value()) continue;
     std::vector<std::uint8_t> bytes = encode_frame(*reply);
-    loop_->post([this, conn_id = work.first, bytes = std::move(bytes)]() mutable {
-      queue_reply_on_loop(conn_id, std::move(bytes));
-    });
+    listener_.loop().post(
+        [this, conn_id = work.first, bytes = std::move(bytes)]() mutable {
+          queue_reply_on_loop(conn_id, std::move(bytes));
+        });
   }
 }
 
 void NodeServer::queue_reply_on_loop(std::uint64_t conn_id,
                                      std::vector<std::uint8_t> bytes) {
-  const auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;  // connection died while the handler ran
-  it->second->outq.push_back(std::move(bytes));
-  it->second->out_ready.set();
-}
-
-void NodeServer::close_conn(Conn& conn) {
-  if (conn.closed) return;
-  conn.closed = true;
-  if (conn.fd >= 0) {
-    loop_->cancel_fd(conn.fd);
-    tcp_close(conn.fd);
-    conn.fd = -1;
-  }
-  conn.out_ready.cancel();
-  conns_.erase(conn.id);  // shared_ptr keeps it alive for its coroutines
+  Listener::Conn* conn = listener_.find(conn_id);
+  if (conn == nullptr) return;  // connection died while the handler ran
+  conn->outq.push_back(std::move(bytes));
+  conn->out_ready.set();
 }
 
 }  // namespace omig::transport

@@ -1,7 +1,6 @@
 #include "transport/tcp.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -21,6 +20,10 @@ void set_nodelay(int fd) {
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+/// Big backlog: the async client side can dial thousands of connections
+/// in one burst (the kernel clamps to somaxconn).
+constexpr int kListenBacklog = 4096;
+
 bool make_addr(const std::string& host, std::uint16_t port,
                sockaddr_in& addr) {
   addr = {};
@@ -31,16 +34,16 @@ bool make_addr(const std::string& host, std::uint16_t port,
 
 }  // namespace
 
-int tcp_listen(const std::string& host, std::uint16_t port, int backlog) {
+int tcp_listen(const std::string& host, std::uint16_t port) {
   sockaddr_in addr{};
   if (!make_addr(host, port, addr)) return -1;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) return -1;
   int one = 1;
   (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
           0 ||
-      ::listen(fd, backlog) < 0) {
+      ::listen(fd, kListenBacklog) < 0) {
     ::close(fd);
     return -1;
   }
@@ -89,12 +92,6 @@ long tcp_recv_some(int fd, std::uint8_t* buffer, std::size_t size) {
     if (n < 0 && errno == EINTR) continue;
     return static_cast<long>(n);
   }
-}
-
-bool tcp_set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return false;
-  return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
 int tcp_connect_begin(const std::string& host, std::uint16_t port) {

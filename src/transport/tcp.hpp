@@ -15,9 +15,8 @@ namespace omig::transport {
 
 /// Binds and listens on `host:port` (port 0 = ephemeral) with
 /// SO_REUSEADDR, so a restarted node can rebind its old port immediately.
-/// Returns the listening fd, or -1.
-[[nodiscard]] int tcp_listen(const std::string& host, std::uint16_t port,
-                             int backlog = 64);
+/// Returns the nonblocking listening fd, or -1.
+[[nodiscard]] int tcp_listen(const std::string& host, std::uint16_t port);
 
 /// Port a listening (or connected) socket is bound to locally; 0 on error.
 [[nodiscard]] std::uint16_t tcp_local_port(int fd);
@@ -43,9 +42,6 @@ void tcp_close(int fd);
 // (kWouldBlock) instead of folding it into the error case.
 
 inline constexpr long kWouldBlock = -2;
-
-/// Puts the fd into O_NONBLOCK mode. False on fcntl failure.
-[[nodiscard]] bool tcp_set_nonblocking(int fd);
 
 /// Starts a nonblocking connect to `host:port`: returns a nonblocking,
 /// TCP_NODELAY fd whose connect is complete or in progress (await

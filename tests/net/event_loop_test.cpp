@@ -2,8 +2,8 @@
 // (src/net/event_loop.hpp). Exercises the cross-thread post seam (the
 // one place two threads meet — TSan covers these suites via
 // scripts/check.sh), the timer wheel, fd readiness awaiters on real
-// pipes/socketpairs under both poller backends, cancellation, and
-// shutdown semantics.
+// pipes/socketpairs, cancellation, task-group drains, and shutdown
+// semantics.
 #include "net/event_loop.hpp"
 
 #include <gtest/gtest.h>
@@ -144,8 +144,8 @@ sim::Task echo_reader(EventLoop* loop, int fd, std::string* out,
   done->set_value(ok);
 }
 
-void run_fd_readiness_roundtrip(PollBackend backend) {
-  EventLoop loop{EventLoop::Options{backend}};
+TEST(EventLoopTest, ReadableWakesWhenDataArrives) {
+  EventLoop loop;
   loop.start();
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
@@ -159,17 +159,6 @@ void run_fd_readiness_roundtrip(PollBackend backend) {
   loop.stop();
   ::close(sv[0]);
   ::close(sv[1]);
-}
-
-TEST(EventLoopTest, ReadableWakesWhenDataArrivesEpoll) {
-  run_fd_readiness_roundtrip(PollBackend::Epoll);
-}
-
-TEST(EventLoopTest, ReadableWakesWhenDataArrivesIoUring) {
-  if (!io_uring_available()) {
-    GTEST_SKIP() << "io_uring_setup rejected on this kernel/sandbox";
-  }
-  run_fd_readiness_roundtrip(PollBackend::IoUring);
 }
 
 TEST(EventLoopTest, WritableIsImmediateOnFreshSocket) {
@@ -261,15 +250,60 @@ TEST(EventLoopTest, EventCancelWakesWithFalse) {
   loop.stop();
 }
 
-TEST(EventLoopTest, BackendReportsName) {
-  EventLoop epoll_loop{EventLoop::Options{PollBackend::Epoll}};
-  EXPECT_STREQ(epoll_loop.backend_name(), "epoll");
-  EventLoop auto_loop;
-  if (io_uring_available()) {
-    EXPECT_STREQ(auto_loop.backend_name(), "io_uring");
-  } else {
-    EXPECT_STREQ(auto_loop.backend_name(), "epoll");
-  }
+sim::Task group_member(Event* release, bool throw_on_release) {
+  (void)co_await release->wait();
+  if (throw_on_release) throw std::runtime_error{"member failed"};
+}
+
+sim::Task drain_waiter(TaskGroup* group, std::promise<void>* drained) {
+  co_await *group;
+  drained->set_value();
+}
+
+/// Runs `fn` on the loop and waits until it has run.
+template <class Fn>
+void on_loop(EventLoop& loop, Fn fn) {
+  std::promise<void> ran;
+  loop.post([&] {
+    fn();
+    ran.set_value();
+  });
+  ran.get_future().get();
+}
+
+TEST(EventLoopTest, TaskGroupDrainResumesWhenLastMemberEnds) {
+  EventLoop loop;
+  loop.start();
+  TaskGroup group;
+  Event first{loop};
+  Event second{loop};
+  std::promise<void> drained;
+  std::future<void> drained_future = drained.get_future();
+  on_loop(loop, [&] {
+    loop.spawn(group_member(&first, false), &group);
+    loop.spawn(group_member(&second, true), &group);
+    loop.spawn(drain_waiter(&group, &drained));
+  });
+  on_loop(loop, [&] { first.set(); });
+  on_loop(loop, [] {});  // the first member has ended by now
+  EXPECT_EQ(drained_future.wait_for(0ms), std::future_status::timeout);
+
+  // The last member leaves the group even though it throws.
+  on_loop(loop, [&] { second.set(); });
+  ASSERT_EQ(drained_future.wait_for(2s), std::future_status::ready);
+  EXPECT_EQ(loop.tasks_failed(), 1u);
+  loop.stop();
+}
+
+TEST(EventLoopTest, TaskGroupDrainCompletesAtOnceWhenEmpty) {
+  EventLoop loop;
+  loop.start();
+  TaskGroup group;
+  EXPECT_TRUE(group.await_ready());
+  std::promise<void> drained;
+  loop.spawn(drain_waiter(&group, &drained));
+  EXPECT_EQ(drained.get_future().wait_for(2s), std::future_status::ready);
+  loop.stop();
 }
 
 TEST(EventLoopTest, StopIsIdempotentAndLoopIsSingleUse) {

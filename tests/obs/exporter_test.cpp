@@ -3,6 +3,8 @@
 #include "transport/metrics_exporter.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <string>
 
@@ -112,6 +114,41 @@ TEST(PrometheusExporter, AnyPathAnswersWithMetrics) {
   const std::uint16_t port = exporter.start();
   ASSERT_NE(port, 0);
   EXPECT_NE(scrape(port, "/").find("omig_y_total 5\n"), std::string::npos);
+  exporter.stop();
+}
+
+TEST(PrometheusExporter, OversizedRequestIsClosedUnanswered) {
+  // 8 KiB or more without the blank line is not a scrape: the connection
+  // closes without a response (a reset is fine; metrics bytes are not).
+  obs::MetricsRegistry reg;
+  reg.counter("omig_z_total", "h").inc();
+  MetricsExporter exporter{reg};
+  const std::uint16_t port = exporter.start();
+  ASSERT_NE(port, 0);
+  for (const std::size_t size : {9000u, 20000u}) {
+    const int fd = tcp_connect("127.0.0.1", port);
+    ASSERT_GE(fd, 0);
+    timeval limit{2, 0};  // a connection left open fails, not hangs
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof limit),
+              0);
+    const std::string junk(size, 'A');
+    // The exporter may close mid-request, so a failed send is expected.
+    (void)tcp_send_all(fd, reinterpret_cast<const std::uint8_t*>(junk.data()),
+                       junk.size());
+    std::string response;
+    std::uint8_t buffer[4096];
+    for (;;) {
+      const long n = tcp_recv_some(fd, buffer, sizeof buffer);
+      if (n <= 0) break;
+      response.append(reinterpret_cast<const char*>(buffer),
+                      static_cast<std::size_t>(n));
+    }
+    tcp_close(fd);
+    EXPECT_TRUE(response.empty()) << size << " bytes got: "
+                                  << response.substr(0, 64);
+  }
+  // The exporter still serves real scrapes afterwards.
+  EXPECT_NE(scrape(port).find("omig_z_total 1\n"), std::string::npos);
   exporter.stop();
 }
 

@@ -171,9 +171,6 @@ int serve(std::size_t id, std::uint16_t port, const std::string& port_file,
   // final tasks onto it).
   net::EventLoop loop;
   loop.start();
-  std::printf("omig_node %zu event loop backend: %s\n", id,
-              loop.backend_name());
-  std::fflush(stdout);
 
   // Pre-register every standard family so a scrape on a fresh node shows
   // the complete schema at zero instead of an empty page.
