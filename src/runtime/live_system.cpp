@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <thread>
 
 #include "obs/families.hpp"
@@ -57,6 +58,18 @@ migration::ProtocolOptions protocol_options(
 bool adaptive(migration::PolicyKind kind) {
   return kind == migration::PolicyKind::Adaptive ||
          kind == migration::PolicyKind::AdaptiveLoad;
+}
+
+/// True when `r` names an object that one of `transfer`'s relocations
+/// names too.
+bool overlaps(std::span<const migration::Relocation> transfer,
+              const migration::Relocation& r) {
+  return std::any_of(r.objects.begin(), r.objects.end(), [&](ObjectId o) {
+    return std::any_of(transfer.begin(), transfer.end(), [&](const auto& t) {
+      return std::find(t.objects.begin(), t.objects.end(), o) !=
+             t.objects.end();
+    });
+  });
 }
 }  // namespace
 
@@ -176,9 +189,12 @@ void LiveSystem::start() {
 }
 
 void LiveSystem::recover_from_store() {
+  // Every reinstall is sent before any is awaited, and the directory then
+  // announces those that landed.
+  std::vector<Delivery<transport::WireInstall>> installs;
   for (const auto& [name, obj] : store_->view()) {
     if (obj.state.empty()) continue;  // location knowledge only, no state
-    const auto state = decode(obj.state);
+    auto state = decode(obj.state);
     if (!state.has_value() || !factories_.contains(state->type)) continue;
     const auto node = static_cast<std::size_t>(obj.node);
     if (node >= node_count()) continue;
@@ -188,11 +204,19 @@ void LiveSystem::recover_from_store() {
       m.moves = obj.cursor;
       m.durable = true;
     }
-    if (install_with_retry(node, name, *state, kExternalSender)) {
-      replayed_objects_.fetch_add(1, std::memory_order_relaxed);
-      if (sharded()) dir_publish_move(name, node, node);
-    }
+    installs.push_back(
+        {.from = kExternalSender,
+         .to = node,
+         .request = {.name = name, .state = std::move(*state)}});
   }
+  deliver_all(std::span{installs});
+  std::vector<DirMove> replayed;
+  for (const auto& install : installs) {
+    if (!install.reply.value_or(false)) continue;
+    replayed_objects_.fetch_add(1, std::memory_order_relaxed);
+    replayed.push_back({install.request.name, install.to, install.to});
+  }
+  if (sharded()) dir_publish(replayed);
 }
 
 void LiveSystem::stop() {
@@ -277,24 +301,43 @@ std::optional<T> LiveSystem::await_reply(std::future<T>& reply) {
 }
 
 template <transport::Request Req>
-std::optional<typename Req::Reply> LiveSystem::deliver(
-    std::size_t from, std::size_t to, Req request, bool stop_on_rejection) {
-  request.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0) {
+void LiveSystem::deliver_all(std::span<Delivery<Req>> batch,
+                             bool stop_on_rejection) {
+  for (Delivery<Req>& d : batch) {
+    d.request.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+    d.rejected = !sent_ok(transport_->send(d.from, d.to, d.request, d.first));
+  }
+  // Await the first attempts last-sent first: a node answers its mailbox,
+  // and a NodeServer its connection, in order, so once the last request to
+  // a node is answered the earlier ones are too — the caller blocks about
+  // once per destination rather than once per request.
+  for (auto d = batch.rbegin(); d != batch.rend(); ++d) {
+    if (!d->rejected) d->reply = await_reply(d->first);
+  }
+  for (Delivery<Req>& d : batch) {
+    if (d.reply.has_value() || (d.rejected && stop_on_rejection)) continue;
+    for (int attempt = 1; attempt <= options_.max_retries; ++attempt) {
       retries_.fetch_add(1, std::memory_order_relaxed);
       obs::runtime_metrics().retries->inc();
       backoff(attempt);
+      if (!sent_ok(transport_->send(d.from, d.to, d.request, d.first))) {
+        // The node is down; it may restart within the retry budget.
+        if (stop_on_rejection) break;
+        continue;
+      }
+      d.reply = await_reply(d.first);
+      if (d.reply.has_value()) break;
     }
-    std::future<typename Req::Reply> reply;
-    if (!sent_ok(transport_->send(from, to, request, reply))) {
-      // The node is down; it may restart within the retry budget.
-      if (stop_on_rejection) break;
-      continue;
-    }
-    if (auto got = await_reply(reply)) return got;
   }
-  return std::nullopt;
+}
+
+template <transport::Request Req>
+std::optional<typename Req::Reply> LiveSystem::deliver(std::size_t from,
+                                                       std::size_t to,
+                                                       Req request) {
+  Delivery<Req> one{.from = from, .to = to, .request = std::move(request)};
+  deliver_all(std::span{&one, 1});
+  return std::move(one.reply);
 }
 
 void LiveSystem::backoff(int attempt) {
@@ -306,14 +349,6 @@ void LiveSystem::backoff(int attempt) {
 bool LiveSystem::faults_active() const {
   return injector_ != nullptr ||
          crashes_.load(std::memory_order_relaxed) > 0;
-}
-
-bool LiveSystem::install_with_retry(std::size_t node, const std::string& name,
-                                    const ObjectState& state,
-                                    std::size_t from) {
-  return deliver(from, node,
-                 transport::WireInstall{.name = name, .state = state})
-      .value_or(false);
 }
 
 double LiveSystem::now() const {
@@ -368,7 +403,9 @@ bool LiveSystem::create(const std::string& name, ObjectState state,
     record(trace::EventKind::ReplicaCreated, id, node_id(node),
            BlockId::invalid());
   }
-  const bool ok = install_with_retry(node, name, state, kExternalSender);
+  const bool ok = deliver(kExternalSender, node,
+                          transport::WireInstall{.name = name, .state = state})
+                      .value_or(false);
   if (!ok) {
     // Release the name; the dead entry stays pinned so no cluster that
     // picked it up meanwhile ever tries to move it.
@@ -382,7 +419,10 @@ bool LiveSystem::create(const std::string& name, ObjectState state,
   }
   // Seed the shard owner's slice (and a self-entry at the host, so a
   // forwarding chase arriving here resolves instead of running dry).
-  if (sharded()) dir_publish_move(name, node, node);
+  if (sharded()) {
+    const DirMove created{name, node, node};
+    dir_publish({&created, 1});
+  }
   if (store_ != nullptr) {
     // Persist the creation checkpoint; only a fsynced append upgrades the
     // entry to durable (an injected fsync failure leaves it in-memory).
@@ -539,112 +579,157 @@ bool LiveSystem::detach(const std::string& a, const std::string& b) {
   return attachments_.detach(ia, ib);
 }
 
-std::vector<ObjectId> LiveSystem::claim_locked(
-    std::unique_lock<std::mutex>& lock, const std::vector<ObjectId>& objects,
-    std::size_t dest, migration::MoveBlock* blk) {
-  // Wait for the whole cluster at once, as the simulator's transfer does:
+std::vector<LiveSystem::Leg> LiveSystem::claim_locked(
+    std::unique_lock<std::mutex>& lock,
+    std::span<const migration::Relocation> relocations,
+    migration::MoveBlock* blk) {
+  // Wait for the whole transfer at once, as the simulator's transfer does:
   // claiming members one by one while waiting on the rest could deadlock
   // against another claimer doing the same in the other order.
   transit_cv_.wait(lock, [&] {
-    return std::none_of(objects.begin(), objects.end(),
-                        [&](ObjectId o) { return meta(o).in_transit; });
+    return std::none_of(
+        relocations.begin(), relocations.end(),
+        [&](const migration::Relocation& r) {
+          return std::any_of(r.objects.begin(), r.objects.end(),
+                             [&](ObjectId o) { return meta(o).in_transit; });
+        });
   });
-  std::vector<ObjectId> claimed;
-  for (const ObjectId o : objects) {
-    Meta& m = meta(o);
-    if (m.fixed || m.node == dest) continue;
-    m.in_transit = true;
-    record(trace::EventKind::MigrationStart, o, node_id(dest),
-           blk != nullptr ? blk->id : BlockId::invalid());
-    if (blk != nullptr) {
-      blk->moved.push_back(o);
-      blk->origins_of_moved.push_back(node_id(m.node));
+  std::vector<Leg> claimed;
+  for (const migration::Relocation& r : relocations) {
+    const std::size_t dest = r.dest.value();
+    for (const ObjectId o : r.objects) {
+      Meta& m = meta(o);
+      if (m.fixed || m.node == dest) continue;
+      m.in_transit = true;
+      record(trace::EventKind::MigrationStart, o, r.dest,
+             blk != nullptr ? blk->id : BlockId::invalid());
+      if (blk != nullptr) {
+        blk->moved.push_back(o);
+        blk->origins_of_moved.push_back(node_id(m.node));
+      }
+      claimed.push_back({o, dest});
     }
-    claimed.push_back(o);
   }
   return claimed;
 }
 
-void LiveSystem::relocate(const std::vector<ObjectId>& objects,
-                          std::size_t dest, BlockId block) {
-  for (const ObjectId id : objects) {
-    const auto wall_start = std::chrono::steady_clock::now();
-    std::size_t src;
-    std::string name;
-    {
-      std::lock_guard lock{mutex_};
-      src = meta(id).node;
-      name = meta(id).name;
-    }
+void LiveSystem::relocate(const std::vector<Leg>& legs, BlockId block) {
+  if (legs.empty()) return;
+  const auto wall_start = std::chrono::steady_clock::now();
 
-    // Pull the state off the source; the request travels dest -> src. A
-    // dead source ends the attempts early — recovery takes over below.
-    std::optional<ObjectState> state =
-        deliver(dest, src, transport::WireEvict{.name = name},
-                /*stop_on_rejection=*/true);
-
-    if (!state.has_value() || state->type.empty()) {
-      // The source is unreachable or lost the object with a crash: recover
-      // the last checkpoint. Degraded mode — updates since the checkpoint
-      // are gone, but the object itself survives (docs/fault_model.md).
-      std::lock_guard lock{mutex_};
-      state = meta(id).checkpoint;
-      recoveries_.fetch_add(1, std::memory_order_relaxed);
-      obs::runtime_metrics().recoveries->inc();
+  // Phase 1: pull every member's state off its source; each evict travels
+  // dest -> src. A dead source ends its member's attempts early — recovery
+  // takes over below — and holds up no other member.
+  std::vector<Delivery<transport::WireEvict>> evicts;
+  evicts.reserve(legs.size());
+  {
+    std::lock_guard lock{mutex_};
+    for (const Leg& leg : legs) {
+      const Meta& m = meta(leg.id);
+      evicts.push_back(
+          {.from = leg.dest, .to = m.node, .request = {.name = m.name}});
     }
-    OMIG_ASSERT(!state->type.empty());
+  }
+  deliver_all(std::span{evicts}, /*stop_on_rejection=*/true);
+  if (options_.remote_latency.count() > 0) {
+    // The members travel in parallel, so the transfer costs the largest
+    // member cost, not their sum.
+    std::this_thread::sleep_for(options_.remote_latency);
+  }
 
-    if (options_.remote_latency.count() > 0) {
-      std::this_thread::sleep_for(options_.remote_latency);  // transfer
-    }
-    {
-      // The state now in flight becomes the object's recovery checkpoint.
-      std::lock_guard lock{mutex_};
-      meta(id).checkpoint = *state;
-    }
-
-    // The install carries the state by value; the AsyncTcp backend
-    // linearises it for the wire (Section 3.1), so a socket destination
-    // rebuilds the object from bytes, never from shared memory.
-    std::size_t target = dest;
-    if (!install_with_retry(dest, name, *state, src)) {
-      // Destination died mid-move: put the object back on the source. If
-      // that is down too, the directory entry plus checkpoint let restart
-      // reconciliation revive it there — the object is never lost.
-      install_with_retry(src, name, *state, dest);
-      target = src;
-    }
-
-    std::uint64_t cursor = 0;
-    {
-      std::lock_guard lock{mutex_};
-      Meta& m = meta(id);
-      m.node = target;
-      m.in_transit = false;
-      if (target != src) {
-        cursor = ++m.moves;
-        --hosted_[src];
-        ++hosted_[target];
+  // Phase 2: install every member at its destination. The install carries
+  // the state by value; the AsyncTcp backend linearises it for the wire
+  // (Section 3.1), so a socket destination rebuilds the object from bytes,
+  // never from shared memory.
+  std::vector<Delivery<transport::WireInstall>> installs;
+  installs.reserve(legs.size());
+  {
+    std::lock_guard lock{mutex_};
+    for (std::size_t i = 0; i < legs.size(); ++i) {
+      Meta& m = meta(legs[i].id);
+      std::optional<ObjectState>& state = evicts[i].reply;
+      if (!state.has_value() || state->type.empty()) {
+        // The source is unreachable or lost the object with a crash:
+        // recover the last checkpoint. Degraded mode — updates since the
+        // checkpoint are gone, but the object itself survives
+        // (docs/fault_model.md).
+        state = m.checkpoint;
+        recoveries_.fetch_add(1, std::memory_order_relaxed);
+        obs::runtime_metrics().recoveries->inc();
+      } else {
+        // The state now in flight becomes the object's recovery checkpoint.
+        m.checkpoint = *state;
       }
-      record(trace::EventKind::MigrationEnd, id, node_id(target), block);
+      OMIG_ASSERT(!state->type.empty());
+      installs.push_back(
+          {.from = evicts[i].to,
+           .to = legs[i].dest,
+           .request = {.name = m.name, .state = std::move(*state)}});
     }
-    transit_cv_.notify_all();  // calls blocked on this object may proceed
-    if (sharded() && target != src) dir_publish_move(name, src, target);
-    if (store_ != nullptr && target != src) {
+  }
+  deliver_all(std::span{installs});
+  const auto landed = [&](std::size_t i) {
+    return installs[i].reply.value_or(false);
+  };
+  // A member whose destination died mid-move goes back on its own source.
+  // If that is down too, restart reconciliation revives it there from the
+  // directory entry and the checkpoint.
+  std::vector<Delivery<transport::WireInstall>> put_backs;
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    if (landed(i)) continue;
+    put_backs.push_back({.from = installs[i].to,
+                         .to = installs[i].from,
+                         .request = installs[i].request});
+  }
+  deliver_all(std::span{put_backs});
+
+  // The transfer has settled: each member is at its destination, or back
+  // at its source.
+  std::vector<std::uint64_t> cursors(legs.size(), 0);
+  {
+    std::lock_guard lock{mutex_};
+    for (std::size_t i = 0; i < legs.size(); ++i) {
+      Meta& m = meta(legs[i].id);
+      const std::size_t src = evicts[i].to;
+      m.node = landed(i) ? legs[i].dest : src;
+      m.in_transit = false;
+      if (landed(i)) {
+        cursors[i] = ++m.moves;
+        --hosted_[src];
+        ++hosted_[m.node];
+      }
+      record(trace::EventKind::MigrationEnd, legs[i].id, node_id(m.node),
+             block);
+    }
+  }
+  transit_cv_.notify_all();  // calls blocked on the members may proceed
+
+  // Phase 3: every moved member's directory updates.
+  if (sharded()) {
+    std::vector<DirMove> moves;
+    for (std::size_t i = 0; i < legs.size(); ++i) {
+      if (landed(i)) {
+        moves.push_back({installs[i].request.name, evicts[i].to, legs[i].dest});
+      }
+    }
+    dir_publish(moves);
+  }
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    if (!landed(i)) continue;
+    if (store_ != nullptr) {
       // Log the location change, then checkpoint the in-flight state under
       // the new home — both fsynced before relocate() acks the migration,
       // so no acked migration is ever lost (docs/durability.md).
-      (void)store_->migration(name, src, target);
-      const auto outcome =
-          store_->checkpoint(name, target, cursor, encode(*state));
+      const transport::WireInstall& install = installs[i].request;
+      (void)store_->migration(install.name, evicts[i].to, legs[i].dest);
+      const auto outcome = store_->checkpoint(
+          install.name, legs[i].dest, cursors[i], encode(install.state));
       std::lock_guard lock{mutex_};
-      meta(id).durable = outcome.durable;
+      meta(legs[i].id).durable = outcome.durable;
     }
-    if (target == dest) {
-      migrations_.fetch_add(1, std::memory_order_relaxed);
-      obs::runtime_metrics().migrations->inc();
-      obs::runtime_metrics().migration_us->record(us_since(wall_start));
-    }
+    migrations_.fetch_add(1, std::memory_order_relaxed);
+    obs::runtime_metrics().migrations->inc();
+    obs::runtime_metrics().migration_us->record(us_since(wall_start));
   }
 }
 
@@ -652,15 +737,16 @@ bool LiveSystem::migrate(const std::string& object, std::size_t dest,
                          const std::string& alliance) {
   OMIG_REQUIRE(started_, "start() the system first");
   OMIG_REQUIRE(dest < node_count(), "node index out of range");
-  std::vector<ObjectId> claimed;
+  std::vector<Leg> claimed;
   {
     std::unique_lock lock{mutex_};
     const ObjectId id = find_locked(object);
     if (!id.valid()) return false;
-    claimed = claim_locked(
-        lock, protocol_.cluster(id, alliance_locked(alliance)), dest, nullptr);
+    const migration::Relocation whole{
+        node_id(dest), protocol_.cluster(id, alliance_locked(alliance))};
+    claimed = claim_locked(lock, {&whole, 1}, nullptr);
   }
-  relocate(claimed, dest, BlockId::invalid());
+  relocate(claimed, BlockId::invalid());
   return true;
 }
 
@@ -683,8 +769,7 @@ LiveSystem::MoveToken LiveSystem::open_block(const std::string& object,
   OMIG_REQUIRE(started_, "start() the system first");
   OMIG_REQUIRE(dest < node_count(), "node index out of range");
   MoveToken token;
-  migration::Relocation decided;
-  std::vector<ObjectId> claimed;
+  std::vector<Leg> claimed;
   {
     std::unique_lock lock{mutex_};
     const ObjectId id = find_locked(object);
@@ -694,13 +779,13 @@ LiveSystem::MoveToken LiveSystem::open_block(const std::string& object,
     record(trace::EventKind::BlockBegin, id, node_id(dest), token.id);
     const std::uint64_t expiries = protocol_.lease_expiries();
     const migration::PolicyCounters before = protocol_.counters();
-    decided = protocol_.decide_move(options_.policy, token);
+    const migration::Relocation decided =
+        protocol_.decide_move(options_.policy, token);
     mirror_decision_locked(token, expiries, before);
     if (!decided.dest.valid()) return token;
-    claimed =
-        claim_locked(lock, decided.objects, decided.dest.value(), &token);
+    claimed = claim_locked(lock, {&decided, 1}, &token);
   }
-  relocate(claimed, decided.dest.value(), token.id);
+  relocate(claimed, token.id);
   return token;
 }
 
@@ -743,17 +828,21 @@ void LiveSystem::end(MoveToken& token) {
     after = protocol_.decide_end(options_.policy, token);
   }
   token.id = BlockId::invalid();
-  // Background migrations (nobody waits on them), one object at a time so
-  // each stays invocable where it is until its own turn comes.
-  for (const migration::Relocation& r : after) {
-    for (const ObjectId o : r.objects) {
-      std::vector<ObjectId> claimed;
-      {
-        std::unique_lock lock{mutex_};
-        claimed = claim_locked(lock, {o}, r.dest.value(), nullptr);
-      }
-      relocate(claimed, r.dest.value(), BlockId::invalid());
+  // The end-request's migrations run as transfers, and end() returns once
+  // they have settled. decide_end lists a visit's return trips first, one
+  // per origin; they name disjoint objects, so they go home as one
+  // transfer. A relocation naming an object already in the transfer —
+  // compare-reinstantiate's may name a returning one — starts the next.
+  for (auto first = after.begin(); first != after.end();) {
+    auto last = std::next(first);
+    while (last != after.end() && !overlaps({first, last}, *last)) ++last;
+    std::vector<Leg> claimed;
+    {
+      std::unique_lock lock{mutex_};
+      claimed = claim_locked(lock, {first, last}, nullptr);
     }
+    relocate(claimed, BlockId::invalid());
+    first = last;
   }
 }
 
@@ -792,32 +881,33 @@ void LiveSystem::restart_node(std::size_t node) {
     }
   }
   // Reconcile the directory with the freshly-empty node: reinstall every
-  // object placed there from its checkpoint. In-transit objects are
-  // skipped — their migration is in progress and settles them itself.
-  struct Restore {
-    std::string name;
-    ObjectState state;
-    bool durable;
-  };
-  std::vector<Restore> to_restore;
+  // object placed there from its checkpoint, all sent before any is
+  // awaited. In-transit objects are skipped — their migration is in
+  // progress and settles them itself.
+  std::vector<Delivery<transport::WireInstall>> installs;
+  std::vector<char> durable;  // per install: its checkpoint is disk-backed
   {
     std::lock_guard lock{mutex_};
     node_down_[node] = 0;
     for (const Meta& m : objects_) {
       if (m.node == node && !m.in_transit) {
-        to_restore.push_back({m.name, m.checkpoint, m.durable});
+        installs.push_back(
+            {.from = kExternalSender,
+             .to = node,
+             .request = {.name = m.name, .state = m.checkpoint}});
+        durable.push_back(m.durable ? 1 : 0);
       }
     }
   }
-  for (const auto& [name, state, durable] : to_restore) {
-    if (install_with_retry(node, name, state, kExternalSender)) {
-      recoveries_.fetch_add(1, std::memory_order_relaxed);
-      obs::runtime_metrics().recoveries->inc();
-      if (durable) {
-        // The checkpoint that revived this object was disk-backed — the
-        // distinction durable_recoveries() reports.
-        durable_recoveries_.fetch_add(1, std::memory_order_relaxed);
-      }
+  deliver_all(std::span{installs});
+  for (std::size_t i = 0; i < installs.size(); ++i) {
+    if (!installs[i].reply.value_or(false)) continue;
+    recoveries_.fetch_add(1, std::memory_order_relaxed);
+    obs::runtime_metrics().recoveries->inc();
+    if (durable[i] != 0) {
+      // The checkpoint that revived this object was disk-backed — the
+      // distinction durable_recoveries() reports.
+      durable_recoveries_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   // The fresh node serves an empty directory slice; rebuild it (plus the
@@ -838,17 +928,13 @@ std::size_t LiveSystem::shard_of(const std::string& name) const {
   return static_cast<std::size_t>(hash % dir_shards_);
 }
 
-bool LiveSystem::dir_update(std::size_t target, const std::string& name,
-                            std::size_t node, bool invalidate) {
+LiveSystem::Delivery<transport::WireDirUpdate> LiveSystem::dir_update(
+    std::size_t target, const std::string& name, std::size_t node) {
   dir_updates_.fetch_add(1, std::memory_order_relaxed);
   obs::dir_metrics().updates->inc();
-  // An unreachable target stays stale; restart reconciliation re-seeds it.
-  return deliver(kExternalSender, target,
-                 transport::WireDirUpdate{
-                     .name = name,
-                     .node = static_cast<std::uint64_t>(node),
-                     .invalidate = invalidate})
-      .value_or(false);
+  return {.from = kExternalSender,
+          .to = target,
+          .request = {.name = name, .node = static_cast<std::uint64_t>(node)}};
 }
 
 std::optional<transport::DirEntry> LiveSystem::dir_lookup(
@@ -941,40 +1027,47 @@ std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,
   return finish(node);
 }
 
-void LiveSystem::dir_publish_move(const std::string& name, std::size_t src,
-                                  std::size_t dest) {
-  const std::size_t owner = shard_owner(shard_of(name));
-  // Authoritative slice first, then the forwarding hint at the old host
-  // and a self-entry at the new one so chases terminate there.
-  (void)dir_update(owner, name, dest, false);
-  if (src != dest && src != owner) (void)dir_update(src, name, dest, false);
-  if (dest != owner) (void)dir_update(dest, name, dest, false);
+void LiveSystem::dir_publish(std::span<const DirMove> moves) {
+  std::vector<Delivery<transport::WireDirUpdate>> updates;
+  updates.reserve(3 * moves.size());
+  for (const auto& [name, src, dest] : moves) {
+    const std::size_t owner = shard_owner(shard_of(name));
+    // Authoritative slice first, then the forwarding hint at the old host
+    // and a self-entry at the new one so chases terminate there.
+    updates.push_back(dir_update(owner, name, dest));
+    if (src != dest && src != owner) {
+      updates.push_back(dir_update(src, name, dest));
+    }
+    if (dest != owner) updates.push_back(dir_update(dest, name, dest));
+  }
+  deliver_all(std::span{updates});
   if (options_.dir_strategy == objsys::ConsistencyStrategy::EagerInvalidate) {
-    for (auto& cache : caches_) {
-      if (cache->invalidate(name)) {
-        dir_invalidations_.fetch_add(1, std::memory_order_relaxed);
-        obs::dir_metrics().invalidations->inc();
+    for (const DirMove& move : moves) {
+      for (auto& cache : caches_) {
+        if (cache->invalidate(move.name)) {
+          dir_invalidations_.fetch_add(1, std::memory_order_relaxed);
+          obs::dir_metrics().invalidations->inc();
+        }
       }
     }
   }
 }
 
 void LiveSystem::dir_reseed_node(std::size_t node) {
-  std::vector<std::pair<std::string, std::size_t>> slice;
+  std::vector<Delivery<transport::WireDirUpdate>> slice;
   {
     std::lock_guard lock{mutex_};
     for (const Meta& m : objects_) {
       if (m.node == kGone) continue;
       if (shard_owner(shard_of(m.name)) == node) {
-        slice.emplace_back(m.name, m.node);
+        slice.push_back(dir_update(node, m.name, m.node));
       } else if (m.node == node && !m.in_transit) {
-        slice.emplace_back(m.name, node);  // self-entry for a reinstall
+        // Self-entry for a reinstall.
+        slice.push_back(dir_update(node, m.name, node));
       }
     }
   }
-  for (const auto& [name, host] : slice) {
-    (void)dir_update(node, name, host, false);
-  }
+  deliver_all(std::span{slice});
 }
 
 bool LiveSystem::node_up(std::size_t node) const {

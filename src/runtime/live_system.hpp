@@ -34,9 +34,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -405,6 +407,25 @@ private:
   /// Interns an alliance name; "" is no alliance (requires `mutex_`).
   migration::AllianceId alliance_locked(const std::string& name);
 
+  /// One member of a transfer: a claimed object and the node it moves to.
+  struct Leg {
+    migration::ObjectId id;
+    std::size_t dest = 0;
+  };
+
+  /// One request of an overlapped delivery, and what came of it.
+  template <transport::Request Req>
+  struct Delivery {
+    std::size_t from = 0;
+    std::size_t to = 0;
+    Req request{};
+    /// nullopt = the peer stayed unreachable — or, with stop_on_rejection,
+    /// rejected an attempt outright.
+    std::optional<typename Req::Reply> reply{};
+    std::future<typename Req::Reply> first{};  ///< the attempt in flight
+    bool rejected = false;  ///< the transport refused the first attempt
+  };
+
   MoveToken open_block(const std::string& object, std::size_t dest,
                        const std::string& alliance, bool visit);
   /// Mirrors one move decision into the registry families (refusals, lease
@@ -412,31 +433,37 @@ private:
   /// the store's lease audit records (requires `mutex_`).
   void mirror_decision_locked(const MoveToken& token, std::uint64_t expiries,
                               const migration::PolicyCounters& before);
-  /// Waits until no member of `objects` is in transit, then claims those
-  /// that can and need to move to `dest`: marks them in transit and notes
-  /// their origins in `blk` (if any). Returns the claimed members.
-  std::vector<migration::ObjectId> claim_locked(
+  /// Waits until no object `relocations` name is in transit, then claims
+  /// those that can and need to move to their relocation's destination:
+  /// marks them in transit and notes their origins in `blk` (if any).
+  /// Returns the claimed members, in order — one transfer's legs.
+  std::vector<Leg> claim_locked(
       std::unique_lock<std::mutex>& lock,
-      const std::vector<migration::ObjectId>& objects, std::size_t dest,
+      std::span<const migration::Relocation> relocations,
       migration::MoveBlock* blk);
-  /// Physically relocates claimed `objects` to `dest` on behalf of `block`.
-  void relocate(const std::vector<migration::ObjectId>& objects,
-                std::size_t dest, migration::BlockId block);
+  /// Carries out one transfer of claimed `legs` on behalf of `block`, in
+  /// three overlapped phases: every evict, every install, every directory
+  /// update (docs/MODEL.md §5).
+  void relocate(const std::vector<Leg>& legs, migration::BlockId block);
 
   InvokeResult invoke_impl(std::optional<std::size_t> from,
                            const std::string& object,
                            const std::string& method,
                            const std::string& argument);
 
-  /// Sends `request` from `from` to `to` under the bounded retry budget.
-  /// The request gets a fresh sequence number that every retry reuses, so
-  /// the receiving node applies it at most once; retries follow an
-  /// exponential backoff. nullopt = the peer stayed unreachable — or, with
-  /// `stop_on_rejection`, rejected the first attempt outright.
+  /// Delivers every request in `batch` under the bounded retry budget:
+  /// sends each first attempt, in order, before awaiting any reply, then
+  /// retries those that failed, in order. Each request gets a fresh
+  /// sequence number that its retries reuse, so the receiving node applies
+  /// it at most once; retries follow an exponential backoff. With
+  /// `stop_on_rejection`, a request the transport rejects is not retried.
+  template <transport::Request Req>
+  void deliver_all(std::span<Delivery<Req>> batch,
+                   bool stop_on_rejection = false);
+  /// deliver_all() of the one request `request` from `from` to `to`.
   template <transport::Request Req>
   std::optional<typename Req::Reply> deliver(std::size_t from, std::size_t to,
-                                             Req request,
-                                             bool stop_on_rejection = false);
+                                             Req request);
 
   /// True when the transport accepted the send; a typed rejection is
   /// counted and the caller retries (the peer may come back).
@@ -449,11 +476,6 @@ private:
 
   /// Sleeps the exponential-backoff delay for retry `attempt` (>= 1).
   void backoff(int attempt);
-
-  /// Installs `state` as `name` on `node` with bounded retries under one
-  /// sequence number. Returns false if the node stayed unreachable.
-  bool install_with_retry(std::size_t node, const std::string& name,
-                          const ObjectState& state, std::size_t from);
 
   /// True once any fault machinery is active (injector, crash calls);
   /// gates the bounded-retry deviations from pre-fault behaviour.
@@ -477,12 +499,13 @@ private:
       std::optional<std::size_t> from) const {
     return from.value_or(node_count());
   }
-  /// Publishes `name -> node` into the directory entry table served by
-  /// `target` (or drops the entry when `invalidate`), with bounded
-  /// retries. Best-effort: an unreachable target just stays stale — the
-  /// resolve path tolerates that.
-  bool dir_update(std::size_t target, const std::string& name,
-                  std::size_t node, bool invalidate);
+  /// A request publishing `name -> node` into the directory entry table
+  /// served by `target`, counted as one directory update. Best-effort: an
+  /// unreachable target just stays stale — the resolve path tolerates
+  /// that, and restart reconciliation re-seeds it.
+  Delivery<transport::WireDirUpdate> dir_update(std::size_t target,
+                                                const std::string& name,
+                                                std::size_t node);
   /// One directory lookup served by `target`; nullopt = unreachable.
   std::optional<transport::DirEntry> dir_lookup(std::size_t from,
                                                 std::size_t target,
@@ -493,10 +516,17 @@ private:
   std::size_t resolve_sharded(std::optional<std::size_t> from,
                               const std::string& object,
                               std::optional<std::size_t> stale);
-  /// Announces a migration: slice update at the shard owner, forwarding
-  /// hint at the old host, eager cache invalidation when configured.
-  void dir_publish_move(const std::string& name, std::size_t src,
-                        std::size_t dest);
+  /// An object's move from `src` to `dest`, as the directory announces it.
+  struct DirMove {
+    std::string name;
+    std::size_t src = 0;
+    std::size_t dest = 0;
+  };
+  /// Announces migrations: per move, the slice update at the shard owner,
+  /// the forwarding hint at the old host and a self-entry at the new one,
+  /// all sent before any is awaited; then eager cache invalidation when
+  /// configured.
+  void dir_publish(std::span<const DirMove> moves);
   /// Re-seeds a restarted node's shard slice from the central map.
   void dir_reseed_node(std::size_t node);
 

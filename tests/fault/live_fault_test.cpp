@@ -176,6 +176,62 @@ TEST_P(LiveFaultBackend, MigrationPullsCheckpointOffDeadNode) {
   EXPECT_GE(sys->recoveries(), 1u);
 }
 
+/// Three attached counters homed on nodes 0, 1 and 2, each incremented
+/// once since its creation-time checkpoint.
+void make_cluster(LiveSystem& sys) {
+  for (std::size_t i = 0; i < 3; ++i) {
+    const std::string name = "m" + std::to_string(i);
+    ASSERT_TRUE(sys.create(name, counter_state(), i));
+    ASSERT_TRUE(sys.invoke(name, "inc", "").ok);
+  }
+  ASSERT_TRUE(sys.attach("m0", "m1"));
+  ASSERT_TRUE(sys.attach("m1", "m2"));
+}
+
+TEST_P(LiveFaultBackend, ClusterMoveWithADeadSource) {
+  LiveSystem::Options opts;
+  opts.nodes = 4;
+  opts.max_retries = 2;
+  auto sys = make(std::move(opts));
+  ASSERT_NO_FATAL_FAILURE(make_cluster(*sys));
+  sys->crash_node(1);
+  // One transfer, failure handled per member: the dead source's member is
+  // recovered from its checkpoint, the others keep their updates.
+  ASSERT_TRUE(sys->migrate("m0", 3));
+  for (const char* name : {"m0", "m1", "m2"}) {
+    EXPECT_EQ(sys->location(name), 3u) << name;
+  }
+  EXPECT_EQ(sys->invoke("m0", "get", "").value, "1");
+  EXPECT_EQ(sys->invoke("m1", "get", "").value, "0");
+  EXPECT_EQ(sys->invoke("m2", "get", "").value, "1");
+  EXPECT_EQ(sys->recoveries(), 1u);
+}
+
+TEST_P(LiveFaultBackend, ClusterMoveToADeadDestinationStaysHome) {
+  LiveSystem::Options opts;
+  opts.nodes = 4;
+  opts.max_retries = 2;
+  auto sys = make(std::move(opts));
+  ASSERT_NO_FATAL_FAILURE(make_cluster(*sys));
+  sys->crash_node(3);
+  // Every install fails, so each member goes back on its own source.
+  ASSERT_TRUE(sys->migrate("m0", 3));
+  for (std::size_t i = 0; i < 3; ++i) {
+    const std::string name = "m" + std::to_string(i);
+    EXPECT_EQ(sys->location(name), i) << name;
+    EXPECT_EQ(sys->invoke(name, "get", "").value, "1") << name;
+  }
+  EXPECT_EQ(sys->migrations(), 0u);
+  sys->restart_node(3);
+  ASSERT_TRUE(sys->migrate("m0", 3));
+  for (std::size_t i = 0; i < 3; ++i) {
+    const std::string name = "m" + std::to_string(i);
+    EXPECT_EQ(sys->location(name), 3u) << name;
+    EXPECT_EQ(sys->invoke(name, "get", "").value, "1") << name;
+  }
+  EXPECT_EQ(sys->recoveries(), 0u);
+}
+
 TEST_P(LiveFaultBackend, CrashedNodeWithoutRestartFailsBounded) {
   LiveSystem::Options opts;
   opts.nodes = 2;

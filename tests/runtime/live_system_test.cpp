@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "trace/log.hpp"
 
 namespace omig::runtime {
 namespace {
@@ -178,6 +181,60 @@ TEST(LiveSystemTest, VisitOfClusterReturnsEveryMember) {
   sys->end(token);
   EXPECT_EQ(sys->location("a"), 0u);
   EXPECT_EQ(sys->location("b"), 1u);  // each member returns to ITS origin
+}
+
+TEST(LiveSystemTest, ClusterTransferIsOnePhase) {
+  // A transfer moves its members in parallel (docs/MODEL.md §5): it claims
+  // them all, then settles them all. The visit's return trips go to three
+  // different origins, yet they too are one transfer.
+  trace::TraceLog log;
+  LiveSystem::Options opts;
+  opts.nodes = 4;
+  opts.trace = &log;
+  LiveSystem sys{opts};
+  sys.register_type("counter", counter_factory());
+  sys.start();
+  for (std::size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(sys.create("m" + std::to_string(i), counter_state(), i));
+  }
+  sys.attach("m0", "m1");
+  sys.attach("m1", "m2");
+  auto token = sys.visit("m0", 3);
+  ASSERT_TRUE(token.granted);
+  sys.end(token);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(sys.location("m" + std::to_string(i)), i);
+  }
+  // S = MigrationStart, E = MigrationEnd, | = the end-request.
+  std::string phases;
+  for (const trace::Event& e : log.events()) {
+    if (e.kind == trace::EventKind::MigrationStart) phases += 'S';
+    if (e.kind == trace::EventKind::MigrationEnd) phases += 'E';
+    if (e.kind == trace::EventKind::BlockEnd) phases += '|';
+  }
+  EXPECT_EQ(phases, "SSSEEE|SSSEEE");
+}
+
+TEST(LiveSystemTest, RemoteLatencyIsPaidOncePerTransfer) {
+  LiveSystem::Options opts;
+  opts.nodes = 4;
+  opts.remote_latency = std::chrono::milliseconds{20};
+  LiveSystem sys{opts};
+  sys.register_type("counter", counter_factory());
+  sys.start();
+  for (std::size_t i = 0; i < 6; ++i) {
+    ASSERT_TRUE(sys.create("m" + std::to_string(i), counter_state(), i % 3));
+    if (i > 0) sys.attach("m0", "m" + std::to_string(i));
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(sys.migrate("m0", 3));
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(sys.location("m" + std::to_string(i)), 3u);
+  }
+  // The members move in parallel: one member's latency, not six.
+  EXPECT_GE(elapsed, std::chrono::milliseconds{20});
+  EXPECT_LT(elapsed, std::chrono::milliseconds{60});
 }
 
 TEST(LiveSystemTest, RefusedVisitDoesNothingOnEnd) {
