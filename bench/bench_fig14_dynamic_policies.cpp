@@ -6,9 +6,10 @@
 //
 // Re-judged with modern telemetry (docs/policies.md): the grid also runs
 // the EMA-driven adaptive kinds, whose bookkeeping *is* charged — the
-// locality tracker rides the real invocation path (measured <5% per block,
-// BENCH_policy.json) — so "not worth the overhead" finally meets a policy
-// that pays its overhead up front. Verdict in EXPERIMENTS.md.
+// locality tracker rides the real invocation path (its overhead per block
+// is below bench_policy's resolution; docs/policies.md) — so "not worth
+// the overhead" finally meets a policy that pays its overhead up front.
+// Verdict in EXPERIMENTS.md.
 #include "bench_common.hpp"
 
 #include "core/plot.hpp"

@@ -1,11 +1,11 @@
-// Microbenchmarks for the adaptive placement machinery (google-benchmark),
-// recorded into BENCH_policy.json by scripts/bench_baseline.sh --policy:
+// Microbenchmarks for the adaptive placement machinery (google-benchmark):
 // the locality tracker's record()/estimate() hot path in isolation, and
 // the end-to-end per-block cost of a full experiment. Two distinct ratios:
 //   Sedentary vs SedentaryTracked — identical simulation, tracker attached
 //     but unconsumed: the pure bookkeeping overhead. Budget <5% on
 //     BM_ExperimentBlocks, matching the PR 4 instrumentation discipline
-//     (docs/metrics.md's cost table; see docs/policies.md).
+//     (docs/metrics.md's cost table). docs/REPRODUCING.md measures it in
+//     interleaved runs; docs/policies.md reports the result.
 //   Sedentary vs Adaptive/AdaptiveLoad — a *behavioral* delta (the policy
 //     actually migrates objects); informational, not an overhead number.
 #include <benchmark/benchmark.h>

@@ -178,13 +178,9 @@ transport::DirEntry LiveNode::handle(const transport::WireDirLookup& msg) {
 }
 
 bool LiveNode::handle(const transport::WireDirUpdate& msg) {
-  // Idempotent: the update carries the absolute new value (or drops the
-  // entry), so a retransmission converges to the same state.
-  if (msg.invalidate) {
-    dir_entries_.erase(msg.name);
-  } else {
-    dir_entries_[msg.name] = msg.node;
-  }
+  // Idempotent: the update carries the absolute new value, so a
+  // retransmission converges to the same state.
+  dir_entries_[msg.name] = msg.node;
   dir_entry_count_.store(dir_entries_.size(), std::memory_order_relaxed);
   return true;
 }

@@ -19,6 +19,11 @@ using migration::BlockId;
 using migration::ObjectId;
 
 namespace {
+/// Cache-entry lifetime under ConsistencyStrategy::LeaseTtl.
+constexpr std::uint64_t kDirLeaseTtlMs = 50;
+/// The durable store compacts after this many WAL appends.
+constexpr std::uint64_t kStoreCompactEvery = 256;
+
 /// Wall-clock microseconds since `start`, for the latency histograms.
 std::uint64_t us_since(std::chrono::steady_clock::time_point start) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -51,7 +56,6 @@ migration::ProtocolOptions protocol_options(
   p.lock_lease = static_cast<double>(options.lock_lease.count());
   p.hysteresis_band = options.hysteresis_band;
   p.adaptive_min_weight = options.adaptive_min_weight;
-  p.load_factor = options.load_factor;
   return p;
 }
 
@@ -104,7 +108,6 @@ void LiveSystem::start() {
     }
   }
   node_down_.assign(count, 0);
-  dir_shards_ = options_.dir_shards != 0 ? options_.dir_shards : count;
   if (sharded()) {
     // One lookup cache per origin; the extra slot serves external callers.
     caches_.clear();
@@ -117,8 +120,7 @@ void LiveSystem::start() {
     injector_ = std::make_unique<fault::FaultInjector>(options_.fault_plan);
   }
   if (adaptive(options_.policy)) {
-    locality_ =
-        std::make_unique<objsys::LocalityTracker>(count, options_.ema_decay);
+    locality_ = std::make_unique<objsys::LocalityTracker>(count);
     protocol_.set_locality(locality_.get());
     policy_obs_ =
         obs::policy_metrics(std::string{migration::to_string(options_.policy)});
@@ -174,7 +176,7 @@ void LiveSystem::start() {
     store_ = std::make_unique<store::DurableStore>();
     store::DurableStore::OpenOptions sopts;
     sopts.dir = options_.data_dir;
-    sopts.compact_every = options_.store_compact_every;
+    sopts.compact_every = kStoreCompactEvery;
     sopts.injector = injector_.get();
     sopts.node = kExternalSender;
     OMIG_REQUIRE(store_->open(std::move(sopts)),
@@ -467,8 +469,9 @@ InvokeResult LiveSystem::invoke_impl(std::optional<std::size_t> from,
   // stay non-resident for a while, so the loop is bounded then.
   int stale_rounds = 0;
   constexpr int kMaxStaleRounds = 64;
-  // Sharded mode: a node the previous round found empty — the resolve
-  // path invalidates its cache entry and chases the forwarding hints.
+  // A node the previous round found without the object. Sharded mode's
+  // resolve path invalidates its cache entry and chases the forwarding
+  // hints.
   std::optional<std::size_t> stale;
   // The locality EMA counts logical invocations, so feed it once even if
   // stale rounds retry the delivery.
@@ -482,6 +485,10 @@ InvokeResult LiveSystem::invoke_impl(std::optional<std::size_t> from,
       // "The call is blocked until the object is operational once again."
       const Meta& m = meta(id);
       transit_cv_.wait(lock, [&] { return !m.in_transit; });
+      // A transfer lost the object, and the node the directory names has
+      // just answered that it holds no copy: revive it there. A copy that
+      // is still resident is never overwritten.
+      if (m.lost && stale == m.node) reinstall_lost(lock, id);
       node = m.node;
       if (!locality_recorded && locality_ != nullptr && from.has_value() &&
           *from < node_count()) {
@@ -490,10 +497,8 @@ InvokeResult LiveSystem::invoke_impl(std::optional<std::size_t> from,
         locality_recorded = true;
       }
     }
-    if (sharded()) {
-      node = resolve_sharded(from, object, stale);
-      stale.reset();
-    }
+    if (sharded()) node = resolve_sharded(from, object, stale);
+    stale.reset();
     invocations_.fetch_add(1, std::memory_order_relaxed);
     const bool remote_call = !from.has_value() || *from != node;
     (remote_call ? obs::runtime_metrics().invocations_remote
@@ -523,7 +528,7 @@ InvokeResult LiveSystem::invoke_impl(std::optional<std::size_t> from,
     // object may be awaiting reinstallation, so give recovery time and
     // give up eventually instead of spinning forever.
     if (!result->ok && result->value.starts_with("object not resident")) {
-      if (sharded()) stale = node;
+      stale = node;
       if (faults_active()) {
         if (++stale_rounds > kMaxStaleRounds) return *result;
         backoff(1);
@@ -535,6 +540,25 @@ InvokeResult LiveSystem::invoke_impl(std::optional<std::size_t> from,
         ->record(us_since(wall_start));
     return *result;
   }
+}
+
+void LiveSystem::reinstall_lost(std::unique_lock<std::mutex>& lock,
+                                ObjectId id) {
+  Meta& m = meta(id);
+  m.in_transit = true;
+  const std::size_t node = m.node;
+  transport::WireInstall install{.name = m.name, .state = m.checkpoint};
+  lock.unlock();
+  const bool ok =
+      deliver(kExternalSender, node, std::move(install)).value_or(false);
+  lock.lock();
+  m.in_transit = false;
+  m.lost = !ok;  // still lost: the next invoke tries again
+  if (ok) {
+    recoveries_.fetch_add(1, std::memory_order_relaxed);
+    obs::runtime_metrics().recoveries->inc();
+  }
+  transit_cv_.notify_all();
 }
 
 void LiveSystem::fix(const std::string& name) {
@@ -672,8 +696,10 @@ void LiveSystem::relocate(const std::vector<Leg>& legs, BlockId block) {
     return installs[i].reply.value_or(false);
   };
   // A member whose destination died mid-move goes back on its own source.
-  // If that is down too, restart reconciliation revives it there from the
-  // directory entry and the checkpoint.
+  // If the put-back fails too, the member is lost: an invoke that finds
+  // its source without it, or a restart of its source, reinstalls it there
+  // from the checkpoint, and the next transfer that claims it recovers the
+  // checkpoint as for any empty evict.
   std::vector<Delivery<transport::WireInstall>> put_backs;
   for (std::size_t i = 0; i < legs.size(); ++i) {
     if (landed(i)) continue;
@@ -683,20 +709,24 @@ void LiveSystem::relocate(const std::vector<Leg>& legs, BlockId block) {
   }
   deliver_all(std::span{put_backs});
 
-  // The transfer has settled: each member is at its destination, or back
-  // at its source.
+  // The transfer has settled: each member is at its destination, back at
+  // its source, or lost there.
   std::vector<std::uint64_t> cursors(legs.size(), 0);
   {
     std::lock_guard lock{mutex_};
+    auto put_back = put_backs.begin();
     for (std::size_t i = 0; i < legs.size(); ++i) {
       Meta& m = meta(legs[i].id);
       const std::size_t src = evicts[i].to;
       m.node = landed(i) ? legs[i].dest : src;
       m.in_transit = false;
       if (landed(i)) {
+        m.lost = false;
         cursors[i] = ++m.moves;
         --hosted_[src];
         ++hosted_[m.node];
+      } else {
+        m.lost = !(put_back++)->reply.value_or(false);
       }
       record(trace::EventKind::MigrationEnd, legs[i].id, node_id(m.node),
              block);
@@ -885,29 +915,41 @@ void LiveSystem::restart_node(std::size_t node) {
   // awaited. In-transit objects are skipped — their migration is in
   // progress and settles them itself.
   std::vector<Delivery<transport::WireInstall>> installs;
-  std::vector<char> durable;  // per install: its checkpoint is disk-backed
+  std::vector<Meta*> reinstalled;  // per install: the object it revives
   {
     std::lock_guard lock{mutex_};
     node_down_[node] = 0;
-    for (const Meta& m : objects_) {
+    for (Meta& m : objects_) {
       if (m.node == node && !m.in_transit) {
         installs.push_back(
             {.from = kExternalSender,
              .to = node,
              .request = {.name = m.name, .state = m.checkpoint}});
-        durable.push_back(m.durable ? 1 : 0);
+        reinstalled.push_back(&m);
+        // This reconciliation revives it; a transfer that loses it
+        // meanwhile marks it again.
+        m.lost = false;
       }
     }
   }
   deliver_all(std::span{installs});
-  for (std::size_t i = 0; i < installs.size(); ++i) {
-    if (!installs[i].reply.value_or(false)) continue;
-    recoveries_.fetch_add(1, std::memory_order_relaxed);
-    obs::runtime_metrics().recoveries->inc();
-    if (durable[i] != 0) {
-      // The checkpoint that revived this object was disk-backed — the
-      // distinction durable_recoveries() reports.
-      durable_recoveries_.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::lock_guard lock{mutex_};
+    for (std::size_t i = 0; i < installs.size(); ++i) {
+      Meta& m = *reinstalled[i];
+      if (!installs[i].reply.value_or(false)) {
+        // Not revived: lost, unless a transfer moved it away or is moving
+        // it.
+        if (m.node == node && !m.in_transit) m.lost = true;
+        continue;
+      }
+      recoveries_.fetch_add(1, std::memory_order_relaxed);
+      obs::runtime_metrics().recoveries->inc();
+      if (m.durable) {
+        // The checkpoint that revived this object was disk-backed — the
+        // distinction durable_recoveries() reports.
+        durable_recoveries_.fetch_add(1, std::memory_order_relaxed);
+      }
     }
   }
   // The fresh node serves an empty directory slice; rebuild it (plus the
@@ -917,7 +959,7 @@ void LiveSystem::restart_node(std::size_t node) {
   obs::runtime_metrics().restarts->inc();
 }
 
-std::size_t LiveSystem::shard_of(const std::string& name) const {
+std::size_t LiveSystem::shard_owner(const std::string& name) const {
   // FNV-1a: deterministic across processes, so a remote coordinator and a
   // test model agree on every name's shard.
   std::uint64_t hash = 14695981039346656037ull;
@@ -925,7 +967,7 @@ std::size_t LiveSystem::shard_of(const std::string& name) const {
     hash ^= c;
     hash *= 1099511628211ull;
   }
-  return static_cast<std::size_t>(hash % dir_shards_);
+  return static_cast<std::size_t>(hash % node_count());
 }
 
 LiveSystem::Delivery<transport::WireDirUpdate> LiveSystem::dir_update(
@@ -961,13 +1003,13 @@ std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,
     // the cache, then chase the forwarding hints migrations left behind.
     // Hints record each node's last departure destination, so departure
     // times rise strictly along the chain — it cannot cycle — and the hop
-    // cap (= shard count) bounds the walk before the owner takes over.
+    // cap (one hop per node) bounds the walk before the owner takes over.
     dir_stale_hits_.fetch_add(1, std::memory_order_relaxed);
     metrics.lookups_stale->inc();
     cache.invalidate(object);
     if (options_.dir_strategy == objsys::ConsistencyStrategy::LazyForward) {
       std::size_t at = *stale;
-      for (std::size_t hop = 0; hop < dir_shards_; ++hop) {
+      for (std::size_t hop = 0; hop < node_count(); ++hop) {
         if (!node_up(at)) break;
         auto hint = dir_lookup(origin, at, object);
         if (!hint.has_value()) break;  // unreachable mid-chase: ask owner
@@ -990,9 +1032,7 @@ std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,
   } else if (auto cached = cache.get(object); cached.has_value()) {
     bool fresh = true;
     if (options_.dir_strategy == objsys::ConsistencyStrategy::LeaseTtl) {
-      const auto ttl =
-          static_cast<std::uint64_t>(options_.dir_lease_ttl.count());
-      fresh = now_ms() - cached->stamp <= ttl;
+      fresh = now_ms() - cached->stamp <= kDirLeaseTtlMs;
     }
     const auto node = static_cast<std::size_t>(cached->node);
     if (fresh && node < node_count() && node_up(node)) {
@@ -1005,7 +1045,7 @@ std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,
   }
 
   // Cache miss (or a failed chase): consult the shard owner's slice.
-  const std::size_t owner = shard_owner(shard_of(object));
+  const std::size_t owner = shard_owner(object);
   if (!stale.has_value()) metrics.lookups_miss->inc();
   if (node_up(owner)) {
     auto reply = dir_lookup(origin, owner, object);
@@ -1031,7 +1071,7 @@ void LiveSystem::dir_publish(std::span<const DirMove> moves) {
   std::vector<Delivery<transport::WireDirUpdate>> updates;
   updates.reserve(3 * moves.size());
   for (const auto& [name, src, dest] : moves) {
-    const std::size_t owner = shard_owner(shard_of(name));
+    const std::size_t owner = shard_owner(name);
     // Authoritative slice first, then the forwarding hint at the old host
     // and a self-entry at the new one so chases terminate there.
     updates.push_back(dir_update(owner, name, dest));
@@ -1059,7 +1099,7 @@ void LiveSystem::dir_reseed_node(std::size_t node) {
     std::lock_guard lock{mutex_};
     for (const Meta& m : objects_) {
       if (m.node == kGone) continue;
-      if (shard_owner(shard_of(m.name)) == node) {
+      if (shard_owner(m.name) == node) {
         slice.push_back(dir_update(node, m.name, m.node));
       } else if (m.node == node && !m.in_transit) {
         // Self-entry for a reinstall.

@@ -96,31 +96,26 @@ public:
     migration::PolicyKind policy = migration::PolicyKind::Placement;
 
     // --- adaptive-policy knobs (docs/policies.md) -------------------------
-    /// Per-access EMA retention factor of the locality tracker.
-    double ema_decay = 0.9;
+    // The locality tracker keeps its 0.9 EMA retention and AdaptiveLoad its
+    // 2x-the-mean load veto (objsys::LocalityTracker, ProtocolOptions).
     /// Migrate only when the dominant node's EMA share leads the host's
     /// share by at least this margin (design decision 9, ARCHITECTURE.md).
     double hysteresis_band = 0.2;
     /// Minimum effective EMA sample size before migrating at all.
     double adaptive_min_weight = 4.0;
-    /// AdaptiveLoad: veto migrations into a node whose hosted-object count
-    /// would exceed this multiple of the per-node mean.
-    double load_factor = 2.0;
 
     // --- location directory (docs/directory.md) ---------------------------
     /// Central: every lookup reads the coordinator's directory map (the
     /// pre-sharding behaviour). Sharded: object names hash to shard slices
     /// served by the nodes themselves, fronted by per-origin lookup caches
     /// and forwarding hints — lookups become messages, so the protocol's
-    /// consistency story is observable end to end.
+    /// consistency story is observable end to end. Each node serves one
+    /// shard.
     objsys::DirectoryKind directory = objsys::DirectoryKind::Central;
-    /// Shard count for the sharded directory; 0 = one shard per node.
-    std::size_t dir_shards = 0;
-    /// How caches learn about migrations (docs/directory.md).
+    /// How caches learn about migrations (docs/directory.md). Under
+    /// LeaseTtl a cache entry lives 50 ms.
     objsys::ConsistencyStrategy dir_strategy =
         objsys::ConsistencyStrategy::LazyForward;
-    /// Cache-entry lifetime under ConsistencyStrategy::LeaseTtl.
-    std::chrono::milliseconds dir_lease_ttl{50};
 
     // --- transport --------------------------------------------------------
     /// Backend for inter-node traffic (docs/transport.md).
@@ -158,11 +153,9 @@ public:
     /// migration, and lease grant. Empty = in-memory only (pre-durability
     /// behaviour). On start() the store is recovered and every surviving
     /// object is reinstalled on its recorded node; no acked migration is
-    /// lost across a coordinator restart.
+    /// lost across a coordinator restart. The store auto-compacts every
+    /// 256 WAL appends, and once more at stop().
     std::string data_dir;
-    /// Auto-compact the store after this many WAL appends (0 = only the
-    /// final compaction at stop()).
-    std::uint64_t store_compact_every = 256;
   };
 
   /// The block move()/visit() opened, as the protocol core tracks it:
@@ -327,10 +320,10 @@ public:
   /// Resolutions that fell back to the coordinator's central map because
   /// the shard owner was unreachable (crash window before re-seeding).
   [[nodiscard]] std::uint64_t dir_fallbacks() const;
-  /// Node serving `name`'s directory shard (Sharded mode, after start()).
+  /// Node serving `name`'s directory shard (Sharded mode).
   [[nodiscard]] std::size_t directory_shard_owner(
       const std::string& name) const {
-    return shard_owner(shard_of(name));
+    return shard_owner(name);
   }
 
 private:
@@ -341,6 +334,11 @@ private:
     std::size_t node = 0;  ///< kGone once a failed create released the name
     bool fixed = false;
     bool in_transit = false;
+    /// The object may sit on no node: a transfer's install and its
+    /// put-back both failed, or a restart could not revive it. An invoke
+    /// that `node` answers without the object reinstalls it there from the
+    /// checkpoint.
+    bool lost = false;
     /// Last linearised state the directory has seen (creation or most
     /// recent migration) — the crash-recovery checkpoint.
     ObjectState checkpoint;
@@ -446,6 +444,13 @@ private:
   /// update (docs/MODEL.md §5).
   void relocate(const std::vector<Leg>& legs, migration::BlockId block);
 
+  /// Reinstalls a lost object (Meta::lost) from its checkpoint at the
+  /// node the directory names, once that node has answered without it;
+  /// holds it in transit meanwhile. Called and returns with `lock` held on
+  /// `mutex_`.
+  void reinstall_lost(std::unique_lock<std::mutex>& lock,
+                      migration::ObjectId id);
+
   InvokeResult invoke_impl(std::optional<std::size_t> from,
                            const std::string& object,
                            const std::string& method,
@@ -488,12 +493,9 @@ private:
   [[nodiscard]] bool sharded() const {
     return options_.directory == objsys::DirectoryKind::Sharded;
   }
-  /// Shard an object name hashes to (FNV-1a: stable across processes).
-  [[nodiscard]] std::size_t shard_of(const std::string& name) const;
-  /// Node serving a shard's slice of the directory.
-  [[nodiscard]] std::size_t shard_owner(std::size_t shard) const {
-    return shard % node_count();
-  }
+  /// Node serving the shard an object name hashes to: one shard per node
+  /// (FNV-1a, so the hash is stable across processes).
+  [[nodiscard]] std::size_t shard_owner(const std::string& name) const;
   /// Cache index for an origin (kExternalSender maps to the extra slot).
   [[nodiscard]] std::size_t cache_slot(
       std::optional<std::size_t> from) const {
@@ -564,7 +566,6 @@ private:
   /// Per-origin lookup caches (node_count() + 1 entries; the last one
   /// serves external senders). Pointers because the caches hold mutexes.
   std::vector<std::unique_ptr<objsys::NamedLocationCache>> caches_;
-  std::size_t dir_shards_ = 0;  ///< resolved shard count (0 until start())
 
   std::unique_ptr<fault::FaultInjector> injector_;
   /// Coordinator-level durable store (Options::data_dir); null = in-memory.

@@ -158,7 +158,6 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
           put_u64(out, body.seq);
           put_str(out, body.name);
           put_u64(out, body.node);
-          out.push_back(body.invalidate ? 1 : 0);
         } else if constexpr (std::is_same_v<T, WireDirLookupReply>) {
           out.push_back(body.result.found ? 1 : 0);
           put_u64(out, body.result.node);
@@ -244,10 +243,8 @@ std::optional<Frame> decode_payload(std::span<const std::uint8_t> payload) {
     }
     case FrameType::DirUpdate: {
       WireDirUpdate body;
-      std::uint8_t flag = 0;
       ok = reader.read_u64(body.seq) && reader.read_str(body.name) &&
-           reader.read_u64(body.node) && reader.read_u8(flag);
-      body.invalidate = flag != 0;
+           reader.read_u64(body.node);
       frame.payload = std::move(body);
       break;
     }

@@ -34,7 +34,7 @@
 namespace omig::transport {
 
 /// Protocol version stamped into every frame header.
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
 
 /// Upper bound on one frame's payload. A length prefix beyond this is
 /// treated as malformed before any allocation happens, so a corrupt or
@@ -123,16 +123,14 @@ struct WireDirLookup {
                          const WireDirLookup&) = default;
 };
 
-/// Installs (`invalidate` false) or drops (`invalidate` true) a directory
-/// entry at the receiving node: shard-slice updates after a migration and
-/// forwarding hints left at the old host use the same message. Idempotent:
-/// the update carries the absolute new value.
+/// Sets a directory entry at the receiving node: shard-slice updates after
+/// a migration and forwarding hints left at the old host use the same
+/// message. Idempotent: the update carries the absolute new value.
 struct WireDirUpdate {
   using Reply = bool;
   std::uint64_t seq = 0;
   std::string name;
   std::uint64_t node = 0;
-  bool invalidate = false;
 
   friend bool operator==(const WireDirUpdate&,
                          const WireDirUpdate&) = default;

@@ -232,6 +232,57 @@ TEST_P(LiveFaultBackend, ClusterMoveToADeadDestinationStaysHome) {
   EXPECT_EQ(sys->recoveries(), 0u);
 }
 
+TEST_P(LiveFaultBackend, FailedPutBackIsReinstalled) {
+  // Every message 0 -> 1 is lost and half of those 1 -> 0 are: the moved
+  // counter's install at node 1 always fails, and on some seeds its
+  // put-back on node 0 fails too. The counter then sits on no node until
+  // the next invoke reinstalls it from the checkpoint.
+  int reinstalled = 0;
+  for (int seed = 1; seed <= 20; ++seed) {
+    LiveSystem::Options opts;
+    opts.nodes = 3;
+    opts.max_retries = 1;
+    opts.fault_plan = fault::parse_plan_text(
+        "seed " + std::to_string(seed) + "\ndrop 0 1 1.0\ndrop 1 0 0.5\n");
+    auto sys = make(std::move(opts));
+    ASSERT_TRUE(sys->create("c", counter_state(), 0));
+    ASSERT_TRUE(sys->migrate("c", 1));
+    const auto home = sys->location("c");
+    ASSERT_TRUE(home.has_value()) << "seed " << seed;
+    const std::uint64_t recoveries = sys->recoveries();
+    const std::uint64_t remote = sys->remote_invocations();
+    // Invoked from the node location() names: a local call, so that node
+    // is the one that answered.
+    const auto r = sys->invoke_from(*home, "c", "inc", "");
+    EXPECT_TRUE(r.ok) << "seed " << seed << ": " << r.value;
+    EXPECT_EQ(r.value, "1") << "seed " << seed;
+    EXPECT_EQ(sys->remote_invocations(), remote) << "seed " << seed;
+    EXPECT_EQ(sys->location("c"), home) << "seed " << seed;
+    if (sys->recoveries() > recoveries) ++reinstalled;
+  }
+  EXPECT_GT(reinstalled, 0);  // some seeds lost the put-back
+}
+
+TEST_P(LiveFaultBackend, PartitionedMoveKeepsTheResidentCopy) {
+  // Nodes 0 and 1 cannot reach each other: the evict, the install and the
+  // put-back are all lost, so the counter is marked lost at node 0. Node 0
+  // never gave its copy up, though, and external calls still reach it:
+  // the copy keeps every acked update and is never overwritten.
+  LiveSystem::Options opts;
+  opts.nodes = 3;
+  opts.max_retries = 1;
+  opts.fault_plan = fault::parse_plan_text("drop 0 1 1.0\ndrop 1 0 1.0\n");
+  auto sys = make(std::move(opts));
+  ASSERT_TRUE(sys->create("c", counter_state(), 0));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(sys->invoke("c", "inc", "").ok);
+  ASSERT_TRUE(sys->migrate("c", 1));
+  EXPECT_EQ(sys->location("c"), 0u);
+  const auto r = sys->invoke("c", "inc", "");
+  EXPECT_TRUE(r.ok) << r.value;
+  EXPECT_EQ(r.value, "4");
+  EXPECT_EQ(sys->recoveries(), 1u);  // the evict's checkpoint fallback only
+}
+
 TEST_P(LiveFaultBackend, CrashedNodeWithoutRestartFailsBounded) {
   LiveSystem::Options opts;
   opts.nodes = 2;

@@ -29,6 +29,11 @@ std::vector<Frame> sample_frames() {
       Frame{11, WireInvokeReply{runtime::InvokeResult{true, "6"}}});
   frames.push_back(Frame{12, WireInstallReply{true}});
   frames.push_back(Frame{13, WireEvictReply{sample_state()}});
+  frames.push_back(Frame{14, WireDirLookup{45, "case-1"}});
+  frames.push_back(Frame{15, WireDirUpdate{46, "case-1", 3}});
+  frames.push_back(
+      Frame{16, WireDirLookupReply{DirEntry{.found = true, .node = 3}}});
+  frames.push_back(Frame{17, WireDirUpdateReply{true}});
   return frames;
 }
 
@@ -63,7 +68,8 @@ TEST(WireCodec, FrameTypeMatchesVariantAlternative) {
   const std::vector<FrameType> expected = {
       FrameType::Invoke,      FrameType::Install,      FrameType::Evict,
       FrameType::Shutdown,    FrameType::InvokeReply,  FrameType::InstallReply,
-      FrameType::EvictReply,
+      FrameType::EvictReply,  FrameType::DirLookup,    FrameType::DirUpdate,
+      FrameType::DirLookupReply, FrameType::DirUpdateReply,
   };
   const std::vector<Frame> frames = sample_frames();
   ASSERT_EQ(frames.size(), expected.size());
