@@ -240,14 +240,10 @@ void apply_assignment(ExperimentConfig& config, std::string_view key,
   } else if (key == "directory") {
     config.directory = parse_enum(key, value, &directory_kind_from_string,
                                   "central|sharded");
-  } else if (key == "shards") {
-    config.dir_shards = static_cast<std::size_t>(parse_int(key, value));
   } else if (key == "dir-strategy") {
     config.dir_strategy =
         parse_enum(key, value, &dir_strategy_from_string,
                    "eager-invalidate|lazy-forward|lease-ttl");
-  } else if (key == "dir-lease") {
-    config.dir_lease_ttl = static_cast<std::uint64_t>(parse_int(key, value));
   } else if (key == "egoistic-clients") {
     config.egoistic_clients = static_cast<int>(parse_int(key, value));
   } else if (key == "egoistic-policy") {
@@ -373,10 +369,6 @@ std::string describe(const ExperimentConfig& config) {
   if (config.directory != objsys::DirectoryKind::Central) {
     os << " directory=" << objsys::to_string(config.directory)
        << " dir-strategy=" << objsys::to_string(config.dir_strategy);
-    if (config.dir_shards != 0) os << " shards=" << config.dir_shards;
-    if (config.dir_strategy == objsys::ConsistencyStrategy::LeaseTtl) {
-      os << " dir-lease=" << config.dir_lease_ttl;
-    }
   }
   if (config.egoistic_clients > 0) {
     os << " egoistic-clients=" << config.egoistic_clients
@@ -427,9 +419,9 @@ std::string config_help() {
                  latency={uniform|hop-scaled|fixed}
                  location={none|name-server|forwarding|broadcast|
                            immediate-update}
-                 directory={central|sharded} shards=N (0 = one per node)
+                 directory={central|sharded} (one shard per node)
                  dir-strategy={eager-invalidate|lazy-forward|lease-ttl}
-                 dir-lease=T (lease-ttl cache lifetime, logical ticks)
+                   (lease-ttl: a cache entry lives 16 directory operations)
   scenarios:     scenario={cache|game|iot|social} (docs/scenarios.md;
                    replaces the office workload with open-loop traffic)
                  sc-nodes sc-sources sc-objects sc-rate

@@ -104,11 +104,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     service.emplace(engine, registry, latency, mgr_rng,
                     config.location_scheme);
     if (config.directory == objsys::DirectoryKind::Sharded) {
-      objsys::ShardedDirectoryOptions dir;
-      dir.shards = config.dir_shards;
-      dir.strategy = config.dir_strategy;
-      dir.lease_ttl = config.dir_lease_ttl;
-      service->enable_sharded(dir);
+      service->enable_sharded(config.dir_strategy);
     }
     invoker.set_location_service(&*service);
     manager.set_location_service(&*service);
@@ -267,15 +263,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
       pm.ema_updates->inc(r.ema_updates);
     }
     if (service && service->sharded() != nullptr) {
-      const objsys::DirectoryStats& ds = service->sharded()->stats();
-      obs::DirMetrics& dm = obs::dir_metrics();
-      dm.lookups_hit->inc(ds.cache_hits);
-      dm.lookups_stale->inc(ds.stale_hits);
-      dm.lookups_miss->inc(ds.lookups - ds.cache_hits - ds.stale_hits);
-      dm.forward_hops->inc(ds.forward_hops);
-      dm.updates->inc(ds.updates);
-      dm.invalidations->inc(ds.invalidations);
-      dm.unresolved->inc(ds.unresolved);
+      objsys::DirectoryStats counted;
+      objsys::count_in_metrics(counted, service->sharded()->stats());
     }
   }
 

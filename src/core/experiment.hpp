@@ -63,12 +63,8 @@ struct ExperimentConfig {
   /// Sharded hashes objects onto per-node directory shards with per-node
   /// lookup caches kept consistent by `dir_strategy`.
   objsys::DirectoryKind directory = objsys::DirectoryKind::Central;
-  /// Directory shards when sharded; 0 = one shard per node.
-  std::size_t dir_shards = 0;
   objsys::ConsistencyStrategy dir_strategy =
       objsys::ConsistencyStrategy::LazyForward;
-  /// LeaseTtl strategy: cache-entry lifetime in directory logical ticks.
-  std::uint64_t dir_lease_ttl = 16;
 
   /// Beyond-paper (Section 2.4's "completely egoistic" implementor): the
   /// first `egoistic_clients` clients run `egoistic_policy` while everyone

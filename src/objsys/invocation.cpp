@@ -12,6 +12,8 @@ namespace {
 /// nothing relocates its objects) cannot hang the simulation.
 constexpr int kMaxLegRetries = 64;
 constexpr int kMaxDownPolls = 100000;
+/// Bound on the sharded path's stale rounds, as in the live runtime.
+constexpr int kMaxStaleRounds = 64;
 
 /// Sim time is unit-mean message latency; histograms store integers, so
 /// durations are recorded in milli-units (×1000) to keep sub-unit
@@ -82,7 +84,11 @@ sim::Task Invoker::invoke(NodeId caller, ObjectId callee,
   ++invocations_;
   if (locality_ != nullptr) locality_->record(callee, caller);
   const bool immutable = registry_->descriptor(callee).immutable;
-  const NodeId loc = registry_->location(callee);
+  NodeId loc = registry_->location(callee);
+  // The sharded directory resolves every call, as the live runtime's
+  // invoke does; the central schemes charge only remote calls, below.
+  const bool sharded = service_ != nullptr && service_->sharded() != nullptr;
+  if (sharded) co_await locate(caller, callee, loc);
 
   // Writes to a mutable replicated object invalidate every copy. The
   // invalidation messages fan out asynchronously — they are counted but do
@@ -109,7 +115,7 @@ sim::Task Invoker::invoke(NodeId caller, ObjectId callee,
   }
 
   ++remote_;
-  if (service_ != nullptr) {
+  if (service_ != nullptr && !sharded) {
     co_await service_->resolve(caller, callee);
   }
   // Call message to the callee, result message back.
@@ -130,6 +136,30 @@ sim::Task Invoker::invoke(NodeId caller, ObjectId callee,
     }
   }
   remote_call_milli_.record(to_milli(engine_->now() - start));
+}
+
+sim::Task Invoker::locate(NodeId caller, ObjectId callee, NodeId& host) {
+  // The caller calls the host the directory names. A host without the
+  // object answers "not resident" — the only way a stale entry shows — so
+  // the caller pays that wasted round trip and resolves again with the
+  // host as stale, once the object is operational (as the live invoke
+  // waits out a transit before each round). An unresolved lookup leaves
+  // the registry's location: the down-host poll above has waited for it.
+  NodeId stale = NodeId::invalid();
+  for (int round = 0; round < kMaxStaleRounds; ++round) {
+    while (registry_->in_transit(callee)) {
+      co_await registry_->transit_gate(callee).wait();
+    }
+    NodeId named;
+    co_await service_->lookup(caller, callee, stale, named);
+    host = registry_->location(callee);
+    if (!named.valid() || named == host) co_return;
+    if (named != caller) {
+      co_await engine_->delay(message_leg(caller.value(), named.value()));
+      co_await engine_->delay(message_leg(named.value(), caller.value()));
+    }
+    stale = named;
+  }
 }
 
 sim::Task Invoker::invoke_from_object(ObjectId caller, ObjectId callee,

@@ -107,6 +107,9 @@ private:
   /// the retry timeout plus the retransmission's latency; a delayed leg
   /// adds its extra delay. Faultless legs are a single latency sample.
   sim::SimTime message_leg(std::size_t from, std::size_t to);
+  /// Sharded directory: resolves `callee` for `caller` until the named
+  /// host holds it, and leaves that host in `host`.
+  sim::Task locate(NodeId caller, ObjectId callee, NodeId& host);
 
   sim::Engine* engine_;
   ObjectRegistry* registry_;

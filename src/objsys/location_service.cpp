@@ -35,48 +35,65 @@ LocationService::LocationService(sim::Engine& engine, ObjectRegistry& registry,
   }
 }
 
-void LocationService::enable_sharded(ShardedDirectoryOptions options) {
-  options.nodes = registry_->node_count();
-  sharded_.emplace(options);
+void LocationService::enable_sharded(ConsistencyStrategy strategy) {
+  const std::size_t nodes = registry_->node_count();
+  tables_.assign(nodes, {});
+  down_.assign(nodes, 0);
+  core_.emplace(static_cast<DirectoryView&>(*this), nodes, strategy);
 }
 
-void LocationService::ensure_registered(ObjectId obj) {
-  if (!sharded_->contains(obj)) {
-    sharded_->insert(obj, registry_->location(obj));
+void LocationService::apply(const std::vector<DirectoryRequest>& updates) {
+  for (const DirectoryRequest& u : updates) {
+    tables_[u.target.value()][u.object] = u.node;
   }
+}
+
+void LocationService::register_object(ObjectId obj) {
+  if (!registered_.try_emplace(obj, 1).second) return;
+  // Creation is setup, not a timed operation: the updates cost nothing.
+  const NodeId home = registry_->location(obj);
+  const DirectoryMove created{obj, home, home};
+  apply(core_->publish({&created, 1}));
+}
+
+void LocationService::crash_node(NodeId node) {
+  down_[node.value()] = 1;
+  tables_[node.value()].clear();
+  core_->crash(node);
+}
+
+void LocationService::restart_node(NodeId node) {
+  down_[node.value()] = 0;
+  apply(core_->reseed(node));
+}
+
+sim::Task LocationService::lookup(NodeId from, ObjectId obj, NodeId stale,
+                                  NodeId& host) {
+  register_object(obj);
+  DirectoryLookup l = core_->lookup(from, obj, stale);
+  while (!l.done()) {
+    // One round trip per request: the ask, then the target table's answer
+    // (unreachable if the target crashed meanwhile).
+    const NodeId target = l.request().target;
+    messages_ += 2;
+    co_await engine_->delay(
+        latency_->sample(*rng_, from.value(), target.value()));
+    co_await engine_->delay(
+        latency_->sample(*rng_, target.value(), from.value()));
+    DirectoryAnswer answer;
+    if (up(target)) {
+      const NodeId* entry = tables_[target.value()].find(obj);
+      answer = entry != nullptr
+                   ? DirectoryAnswer{DirectoryAnswer::Kind::Entry, *entry}
+                   : DirectoryAnswer{DirectoryAnswer::Kind::NoEntry,
+                                     NodeId::invalid()};
+    }
+    core_->answer(l, answer);
+  }
+  host = l.host();
 }
 
 sim::Task LocationService::resolve(NodeId from, ObjectId obj) {
-  if (sharded_) {
-    // Sharded directory: the model decides what the lookup cost — nothing
-    // (cache hit), an owner round-trip, and/or forwarding hops — and we
-    // charge one simulated message per reported leg. The chase legs are
-    // approximated as from↔host samples; the model guarantees hop count ≤
-    // shard count, so the charge is bounded.
-    ensure_registered(obj);
-    const DirectoryLookup r = sharded_->lookup(from, obj);
-    if (r.cache_hit) co_return;
-    if (r.stale) {
-      // One message to the stale host that bounced, plus one per chain hop.
-      const std::size_t legs = 1 + r.hops;
-      const NodeId target = r.host.valid() ? r.host : registry_->location(obj);
-      for (std::size_t i = 0; i < legs; ++i) {
-        ++messages_;
-        co_await engine_->delay(
-            latency_->sample(*rng_, from.value(), target.value()));
-      }
-    }
-    if (r.owner_consulted) {
-      const NodeId owner = sharded_->owner_of(obj);
-      messages_ += 2;
-      co_await engine_->delay(
-          latency_->sample(*rng_, from.value(), owner.value()));
-      co_await engine_->delay(
-          latency_->sample(*rng_, owner.value(), from.value()));
-    }
-    co_return;
-  }
-
   switch (scheme_) {
     case LocationScheme::None:
     case LocationScheme::ImmediateUpdate:
@@ -129,22 +146,21 @@ sim::Task LocationService::resolve(NodeId from, ObjectId obj) {
 
 sim::SimTime LocationService::migration_overhead(ObjectId obj, NodeId from,
                                                  NodeId dest, bool relocates) {
-  if (sharded_) {
+  if (core_) {
     // Replica copies leave the primary location untouched — the directory
     // does not change and nothing is charged.
     if (!relocates) return 0.0;
-    ensure_registered(obj);
-    const DirectoryMove move = sharded_->record_move(obj, dest);
-    // One update message to the shard owner, overlapped with any eager
-    // invalidations fanning out in parallel: the migration is extended by
-    // the slowest leg.
-    ++messages_;
-    sim::SimTime worst =
-        latency_->sample(*rng_, dest.value(), move.owner.value());
-    for (const NodeId node : move.invalidated) {
+    register_object(obj);
+    // The published updates travel in parallel with the transfer: the
+    // migration is extended by the slowest leg.
+    const DirectoryMove move{obj, from, dest};
+    const std::vector<DirectoryRequest> updates = core_->publish({&move, 1});
+    apply(updates);
+    sim::SimTime worst = 0.0;
+    for (const DirectoryRequest& u : updates) {
       ++messages_;
-      worst =
-          std::max(worst, latency_->sample(*rng_, dest.value(), node.value()));
+      worst = std::max(
+          worst, latency_->sample(*rng_, dest.value(), u.target.value()));
     }
     return worst;
   }

@@ -13,11 +13,12 @@
 #include <vector>
 
 #include "net/latency.hpp"
+#include "objsys/directory_core.hpp"
 #include "objsys/registry.hpp"
-#include "objsys/sharded_directory.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
 #include "sim/task.hpp"
+#include "util/dense_table.hpp"
 
 namespace omig::objsys {
 
@@ -33,37 +34,56 @@ enum class LocationScheme {
 
 /// Charges the caller the location-mechanism overhead before a remote call,
 /// and migrations their update overhead.
-class LocationService {
+class LocationService : private DirectoryView {
 public:
   LocationService(sim::Engine& engine, ObjectRegistry& registry,
                   const net::LatencyModel& latency, sim::Rng& rng,
                   LocationScheme scheme, NodeId name_server = NodeId{0});
+  LocationService(const LocationService&) = delete;
+  LocationService& operator=(const LocationService&) = delete;
 
   [[nodiscard]] LocationScheme scheme() const { return scheme_; }
 
   /// Switch the service to the sharded directory (DirectoryKind::Sharded):
-  /// lookups consult per-node caches / shard owners from the ShardedDirectory
-  /// model instead of the central scheme, and migrations charge the
-  /// directory-update fan-out the model reports. `options.nodes` is forced
-  /// to the registry's node count.
-  void enable_sharded(ShardedDirectoryOptions options);
+  /// a DirectoryCore with one shard per registry node, whose requests this
+  /// service answers from in-memory node tables. The invoker resolves
+  /// every call through lookup(), and migrations publish their moves
+  /// through migration_overhead().
+  void enable_sharded(ConsistencyStrategy strategy);
 
   [[nodiscard]] DirectoryKind directory() const {
-    return sharded_ ? DirectoryKind::Sharded : DirectoryKind::Central;
+    return core_ ? DirectoryKind::Sharded : DirectoryKind::Central;
   }
-  [[nodiscard]] const ShardedDirectory* sharded() const {
-    return sharded_ ? &*sharded_ : nullptr;
+  /// The sharded directory's core (stats, request log), or nullptr.
+  [[nodiscard]] DirectoryCore* sharded() { return core_ ? &*core_ : nullptr; }
+  [[nodiscard]] const DirectoryCore* sharded() const {
+    return core_ ? &*core_ : nullptr;
   }
 
   /// Awaitable overhead paid by a remote caller at `from` before the call
-  /// message for `obj` can be addressed.
+  /// message for `obj` can be addressed (the central schemes).
   sim::Task resolve(NodeId from, ObjectId obj);
 
+  /// Sharded: one directory lookup for a caller at `from`. Each request
+  /// the core emits costs a round trip to its target, whose table answers.
+  /// `stale` names a host a call just found without `obj`. `host` receives
+  /// the answer; invalid = unresolved.
+  sim::Task lookup(NodeId from, ObjectId obj, NodeId stale, NodeId& host);
+
+  /// Sharded: announces `obj`'s creation at its registry location, once.
+  /// lookup() and migration_overhead() call it on an object's first touch.
+  void register_object(ObjectId obj);
+  /// Sharded: `node` crashes. Its table and its lookup cache are lost, and
+  /// no request is sent to it until restart_node().
+  void crash_node(NodeId node);
+  /// Sharded: `node` restarts, and its table is reseeded.
+  void restart_node(NodeId node);
+
   /// Extra duration a migration of `obj` from `from` to `dest` takes for
-  /// location upkeep (name-server update, immediate update fan-out, shard
-  /// owner update + invalidations). `relocates` is false for replica
-  /// copies, which leave the primary location — and thus the sharded
-  /// directory — untouched.
+  /// location upkeep (name-server update, immediate update fan-out, the
+  /// sharded directory's published updates). `relocates` is false for
+  /// replica copies, which leave the primary location — and thus the
+  /// sharded directory — untouched.
   [[nodiscard]] sim::SimTime migration_overhead(ObjectId obj, NodeId from,
                                                 NodeId dest, bool relocates);
 
@@ -71,6 +91,22 @@ public:
   [[nodiscard]] std::uint64_t messages() const { return messages_; }
 
 private:
+  // DirectoryView — the registry is the authoritative map.
+  [[nodiscard]] NodeId owner(ObjectId obj) const override {
+    return hashed_owner(obj, registry_->node_count());
+  }
+  [[nodiscard]] bool up(NodeId node) const override {
+    return down_[node.value()] == 0;
+  }
+  [[nodiscard]] NodeId host(ObjectId obj) const override {
+    return registry_->location(obj);
+  }
+  [[nodiscard]] std::size_t object_bound() const override {
+    return registry_->object_count();
+  }
+  /// Writes published updates into the node tables.
+  void apply(const std::vector<DirectoryRequest>& updates);
+
   sim::Engine* engine_;
   ObjectRegistry* registry_;
   const net::LatencyModel* latency_;
@@ -84,12 +120,14 @@ private:
   /// with no cached address would chase from.
   std::vector<std::vector<std::uint32_t>> known_;
   std::uint64_t messages_ = 0;
-  /// Engaged iff DirectoryKind::Sharded: the deterministic directory model
-  /// whose reported work (owner round-trips, forwarding hops, invalidation
-  /// fan-out) this service converts into simulated message latencies.
-  std::optional<ShardedDirectory> sharded_;
-
-  void ensure_registered(ObjectId obj);
+  /// Engaged iff DirectoryKind::Sharded.
+  std::optional<DirectoryCore> core_;
+  /// Sharded: each node's entry table — slice entries, forwarding hints
+  /// and self-entries alike, as a live node keeps them.
+  std::vector<util::DenseTable<ObjectId, NodeId>> tables_;
+  std::vector<char> down_;
+  /// Sharded: objects whose creation has been announced.
+  util::DenseTable<ObjectId, char> registered_;
 };
 
 }  // namespace omig::objsys

@@ -81,10 +81,10 @@ struct StoreMetrics {
 };
 [[nodiscard]] StoreMetrics& store_metrics();
 
-/// Location-directory layer (objsys/sharded_directory + the live
-/// runtime's sharded lookup path, docs/directory.md). Both backends feed
-/// the same family: the simulator folds its model stats in once per run,
-/// the live runtime increments per lookup/update.
+/// Location-directory layer (objsys/directory_core, docs/directory.md).
+/// Both backends feed the same family through objsys::count_in_metrics:
+/// the simulator folds the core's counters in once per run, the live
+/// runtime after every lookup and update.
 struct DirMetrics {
   Counter* lookups_hit;    ///< omig_dir_lookups_total{result=hit}
   Counter* lookups_stale;  ///< omig_dir_lookups_total{result=stale}

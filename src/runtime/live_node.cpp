@@ -161,10 +161,17 @@ bool LiveNode::handle(transport::WireInstall& msg) {
         store_->checkpoint(msg.name, id_, 0, encode(msg.state));
     if (!outcome.applied) return false;
   }
-  objects_[msg.name] = fit->second(msg.name, std::move(msg.state));
+  const bool added =
+      objects_.insert_or_assign(msg.name,
+                                fit->second(msg.name, std::move(msg.state)))
+          .second;
   if (msg.seq != 0) installed_seq_[msg.name] = msg.seq;
-  hosted_.fetch_add(1, std::memory_order_relaxed);
-  obs::node_metrics().hosted_objects->add(1);
+  if (added) {
+    // A replacing install (a put-back onto a source that still holds the
+    // object) leaves the count as it is.
+    hosted_.fetch_add(1, std::memory_order_relaxed);
+    obs::node_metrics().hosted_objects->add(1);
+  }
   return true;
 }
 

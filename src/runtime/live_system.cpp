@@ -19,8 +19,6 @@ using migration::BlockId;
 using migration::ObjectId;
 
 namespace {
-/// Cache-entry lifetime under ConsistencyStrategy::LeaseTtl.
-constexpr std::uint64_t kDirLeaseTtlMs = 50;
 /// The durable store compacts after this many WAL appends.
 constexpr std::uint64_t kStoreCompactEvery = 256;
 
@@ -29,14 +27,6 @@ std::uint64_t us_since(std::chrono::steady_clock::time_point start) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count());
-}
-
-/// Monotonic milliseconds, the stamp the lease-TTL strategy ages by.
-std::uint64_t now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 std::size_t checked_node_count(const LiveSystem::Options& options) {
@@ -108,13 +98,9 @@ void LiveSystem::start() {
     }
   }
   node_down_.assign(count, 0);
-  if (sharded()) {
-    // One lookup cache per origin; the extra slot serves external callers.
-    caches_.clear();
-    caches_.reserve(count + 1);
-    for (std::size_t i = 0; i <= count; ++i) {
-      caches_.push_back(std::make_unique<objsys::NamedLocationCache>());
-    }
+  if (options_.directory == objsys::DirectoryKind::Sharded) {
+    directory_.emplace(static_cast<objsys::DirectoryView&>(*this), count,
+                       options_.dir_strategy);
   }
   if (!options_.fault_plan.empty()) {
     injector_ = std::make_unique<fault::FaultInjector>(options_.fault_plan);
@@ -194,6 +180,7 @@ void LiveSystem::recover_from_store() {
   // Every reinstall is sent before any is awaited, and the directory then
   // announces those that landed.
   std::vector<Delivery<transport::WireInstall>> installs;
+  std::vector<ObjectId> ids;  // per install: the object it revives
   for (const auto& [name, obj] : store_->view()) {
     if (obj.state.empty()) continue;  // location knowledge only, no state
     auto state = decode(obj.state);
@@ -202,7 +189,8 @@ void LiveSystem::recover_from_store() {
     if (node >= node_count()) continue;
     {
       std::lock_guard lock{mutex_};
-      Meta& m = meta(add_locked(name, node, *state));
+      ids.push_back(add_locked(name, node, *state));
+      Meta& m = meta(ids.back());
       m.moves = obj.cursor;
       m.durable = true;
     }
@@ -212,13 +200,14 @@ void LiveSystem::recover_from_store() {
          .request = {.name = name, .state = std::move(*state)}});
   }
   deliver_all(std::span{installs});
-  std::vector<DirMove> replayed;
-  for (const auto& install : installs) {
-    if (!install.reply.value_or(false)) continue;
+  std::vector<objsys::DirectoryMove> replayed;
+  for (std::size_t i = 0; i < installs.size(); ++i) {
+    if (!installs[i].reply.value_or(false)) continue;
     replayed_objects_.fetch_add(1, std::memory_order_relaxed);
-    replayed.push_back({install.request.name, install.to, install.to});
+    const objsys::NodeId node = node_id(installs[i].to);
+    replayed.push_back({ids[i], node, node});
   }
-  if (sharded()) dir_publish(replayed);
+  if (directory_) dir_send([&] { return directory_->publish(replayed); });
 }
 
 void LiveSystem::stop() {
@@ -342,6 +331,22 @@ std::optional<typename Req::Reply> LiveSystem::deliver(std::size_t from,
   return std::move(one.reply);
 }
 
+template <class F>
+void LiveSystem::dir_send(F&& updates) {
+  std::vector<Delivery<transport::WireDirUpdate>> batch;
+  {
+    std::lock_guard lock{mutex_};
+    for (const objsys::DirectoryRequest& u : updates()) {
+      batch.push_back({.from = kExternalSender,
+                       .to = u.target.value(),
+                       .request = {.name = meta(u.object).name,
+                                   .node = u.node.value()}});
+    }
+    objsys::count_in_metrics(dir_counted_, directory_->stats());
+  }
+  deliver_all(std::span{batch});
+}
+
 void LiveSystem::backoff(int attempt) {
   if (options_.retry_backoff.count() <= 0) return;
   const int shift = std::min(attempt - 1, 6);
@@ -421,9 +426,9 @@ bool LiveSystem::create(const std::string& name, ObjectState state,
   }
   // Seed the shard owner's slice (and a self-entry at the host, so a
   // forwarding chase arriving here resolves instead of running dry).
-  if (sharded()) {
-    const DirMove created{name, node, node};
-    dir_publish({&created, 1});
+  if (directory_) {
+    const objsys::DirectoryMove created{id, node_id(node), node_id(node)};
+    dir_send([&] { return directory_->publish({&created, 1}); });
   }
   if (store_ != nullptr) {
     // Persist the creation checkpoint; only a fsynced append upgrades the
@@ -469,15 +474,14 @@ InvokeResult LiveSystem::invoke_impl(std::optional<std::size_t> from,
   // stay non-resident for a while, so the loop is bounded then.
   int stale_rounds = 0;
   constexpr int kMaxStaleRounds = 64;
-  // A node the previous round found without the object. Sharded mode's
-  // resolve path invalidates its cache entry and chases the forwarding
-  // hints.
+  // A node the previous round found without the object: the sharded
+  // directory then drops its cache entry and chases the forwarding hints.
   std::optional<std::size_t> stale;
   // The locality EMA counts logical invocations, so feed it once even if
   // stale rounds retry the delivery.
   bool locality_recorded = false;
   for (;;) {
-    std::size_t node;
+    std::optional<std::size_t> node;
     {
       std::unique_lock lock{mutex_};
       const ObjectId id = find_locked(object);
@@ -496,11 +500,20 @@ InvokeResult LiveSystem::invoke_impl(std::optional<std::size_t> from,
         policy_obs_->ema_updates->inc();
         locality_recorded = true;
       }
+      if (directory_) node = locate_locked(lock, from, id, stale);
     }
-    if (sharded()) node = resolve_sharded(from, object, stale);
     stale.reset();
+    if (!node.has_value()) {
+      // Unresolved: the host is down. Never send to it; back off within
+      // the bounded rounds.
+      if (++stale_rounds > kMaxStaleRounds) {
+        return InvokeResult{false, "no live host: " + object};
+      }
+      backoff(1);
+      continue;
+    }
     invocations_.fetch_add(1, std::memory_order_relaxed);
-    const bool remote_call = !from.has_value() || *from != node;
+    const bool remote_call = !from.has_value() || *from != *node;
     (remote_call ? obs::runtime_metrics().invocations_remote
                  : obs::runtime_metrics().invocations_local)
         ->inc();
@@ -511,12 +524,12 @@ InvokeResult LiveSystem::invoke_impl(std::optional<std::size_t> from,
       }
     }
     const std::optional<InvokeResult> result =
-        deliver(from.value_or(kExternalSender), node,
+        deliver(from.value_or(kExternalSender), *node,
                 transport::WireInvoke{
                     .object = object, .method = method, .argument = argument});
     if (!result.has_value()) {
       return InvokeResult{
-          false, "node unreachable: " + std::to_string(node) + " (" + object +
+          false, "node unreachable: " + std::to_string(*node) + " (" + object +
                      ")"};
     }
     if (remote_call && options_.remote_latency.count() > 0) {
@@ -528,7 +541,7 @@ InvokeResult LiveSystem::invoke_impl(std::optional<std::size_t> from,
     // object may be awaiting reinstallation, so give recovery time and
     // give up eventually instead of spinning forever.
     if (!result->ok && result->value.starts_with("object not resident")) {
-      stale = node;
+      stale = *node;
       if (faults_active()) {
         if (++stale_rounds > kMaxStaleRounds) return *result;
         backoff(1);
@@ -735,14 +748,15 @@ void LiveSystem::relocate(const std::vector<Leg>& legs, BlockId block) {
   transit_cv_.notify_all();  // calls blocked on the members may proceed
 
   // Phase 3: every moved member's directory updates.
-  if (sharded()) {
-    std::vector<DirMove> moves;
+  if (directory_) {
+    std::vector<objsys::DirectoryMove> moves;
     for (std::size_t i = 0; i < legs.size(); ++i) {
       if (landed(i)) {
-        moves.push_back({installs[i].request.name, evicts[i].to, legs[i].dest});
+        moves.push_back(
+            {legs[i].id, node_id(evicts[i].to), node_id(legs[i].dest)});
       }
     }
-    dir_publish(moves);
+    dir_send([&] { return directory_->publish(moves); });
   }
   for (std::size_t i = 0; i < legs.size(); ++i) {
     if (!landed(i)) continue;
@@ -882,6 +896,8 @@ void LiveSystem::crash_node(std::size_t node) {
   {
     std::lock_guard lock{mutex_};
     node_down_[node] = 1;
+    // Its lookup cache dies with it, as its table does inside crash().
+    if (directory_) directory_->crash(node_id(node));
   }
   if (!remote()) {
     nodes_[node]->crash();
@@ -889,9 +905,6 @@ void LiveSystem::crash_node(std::size_t node) {
     // resets, and their pending replies break immediately.
     if (node < servers_.size()) servers_[node]->stop();
   }
-  // The node's lookup cache dies with it (its directory slice and hints
-  // are node-thread state and died inside crash() already).
-  if (sharded() && node < caches_.size()) caches_[node]->clear();
   transport_->on_node_crash(node);
   crashes_.fetch_add(1, std::memory_order_relaxed);
   obs::runtime_metrics().crashes->inc();
@@ -952,16 +965,14 @@ void LiveSystem::restart_node(std::size_t node) {
       }
     }
   }
-  // The fresh node serves an empty directory slice; rebuild it (plus the
-  // self-entries for objects reinstalled here) from the central map.
-  if (sharded()) dir_reseed_node(node);
+  // The fresh node serves an empty directory table; rebuild its slice (and
+  // the self-entries for objects reinstalled here) from the central map.
+  if (directory_) dir_send([&] { return directory_->reseed(node_id(node)); });
   restarts_.fetch_add(1, std::memory_order_relaxed);
   obs::runtime_metrics().restarts->inc();
 }
 
-std::size_t LiveSystem::shard_owner(const std::string& name) const {
-  // FNV-1a: deterministic across processes, so a remote coordinator and a
-  // test model agree on every name's shard.
+std::size_t LiveSystem::directory_shard_owner(const std::string& name) const {
   std::uint64_t hash = 14695981039346656037ull;
   for (const unsigned char c : name) {
     hash ^= c;
@@ -970,144 +981,40 @@ std::size_t LiveSystem::shard_owner(const std::string& name) const {
   return static_cast<std::size_t>(hash % node_count());
 }
 
-LiveSystem::Delivery<transport::WireDirUpdate> LiveSystem::dir_update(
-    std::size_t target, const std::string& name, std::size_t node) {
-  dir_updates_.fetch_add(1, std::memory_order_relaxed);
-  obs::dir_metrics().updates->inc();
-  return {.from = kExternalSender,
-          .to = target,
-          .request = {.name = name, .node = static_cast<std::uint64_t>(node)}};
-}
-
-std::optional<transport::DirEntry> LiveSystem::dir_lookup(
-    std::size_t from, std::size_t target, const std::string& name) {
-  return deliver(from, target, transport::WireDirLookup{.name = name});
-}
-
-std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,
-                                        const std::string& object,
-                                        std::optional<std::size_t> stale) {
+std::optional<std::size_t> LiveSystem::locate_locked(
+    std::unique_lock<std::mutex>& lock, std::optional<std::size_t> from,
+    ObjectId id, std::optional<std::size_t> stale) {
   const auto wall_start = std::chrono::steady_clock::now();
-  obs::DirMetrics& metrics = obs::dir_metrics();
-  dir_lookups_.fetch_add(1, std::memory_order_relaxed);
-  objsys::NamedLocationCache& cache = *caches_[cache_slot(from)];
   const std::size_t origin = from.value_or(kExternalSender);
-  auto finish = [&](std::size_t node) {
-    cache.put(object, static_cast<std::uint64_t>(node), now_ms());
-    metrics.lookup_us->record(us_since(wall_start));
-    return node;
-  };
-
-  if (stale.has_value()) {
-    // The previous attempt found no object at *stale: drop the lie from
-    // the cache, then chase the forwarding hints migrations left behind.
-    // Hints record each node's last departure destination, so departure
-    // times rise strictly along the chain — it cannot cycle — and the hop
-    // cap (one hop per node) bounds the walk before the owner takes over.
-    dir_stale_hits_.fetch_add(1, std::memory_order_relaxed);
-    metrics.lookups_stale->inc();
-    cache.invalidate(object);
-    if (options_.dir_strategy == objsys::ConsistencyStrategy::LazyForward) {
-      std::size_t at = *stale;
-      for (std::size_t hop = 0; hop < node_count(); ++hop) {
-        if (!node_up(at)) break;
-        auto hint = dir_lookup(origin, at, object);
-        if (!hint.has_value()) break;  // unreachable mid-chase: ask owner
-        const auto next = hint->found
-                              ? static_cast<std::size_t>(hint->node)
-                              : at;
-        if (next >= node_count()) break;  // corrupt hint: distrust it
-        if (next == at) {
-          // A self-entry (or no hint at all): the chain terminates here.
-          // The starting node just failed an invoke, though — never trust
-          // it to name itself; fall through to the owner instead.
-          if (at != *stale) return finish(at);
-          break;
-        }
-        dir_hops_.fetch_add(1, std::memory_order_relaxed);
-        metrics.forward_hops->inc();
-        at = next;
-      }
-    }
-  } else if (auto cached = cache.get(object); cached.has_value()) {
-    bool fresh = true;
-    if (options_.dir_strategy == objsys::ConsistencyStrategy::LeaseTtl) {
-      fresh = now_ms() - cached->stamp <= kDirLeaseTtlMs;
-    }
-    const auto node = static_cast<std::size_t>(cached->node);
-    if (fresh && node < node_count() && node_up(node)) {
-      dir_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      metrics.lookups_hit->inc();
-      metrics.lookup_us->record(us_since(wall_start));
-      return node;
-    }
-    cache.invalidate(object);
+  objsys::DirectoryLookup lookup = directory_->lookup(
+      node_id(origin), id, node_id(stale.value_or(kExternalSender)));
+  while (!lookup.done()) {
+    const std::size_t target = lookup.request().target.value();
+    transport::WireDirLookup ask{.name = meta(id).name};
+    lock.unlock();
+    const auto entry = deliver(origin, target, std::move(ask));
+    lock.lock();
+    using Kind = objsys::DirectoryAnswer::Kind;
+    directory_->answer(
+        lookup, !entry ? objsys::DirectoryAnswer{}  // no reply: unreachable
+                : entry->found
+                    ? objsys::DirectoryAnswer{Kind::Entry, node_id(entry->node)}
+                    : objsys::DirectoryAnswer{Kind::NoEntry});
   }
-
-  // Cache miss (or a failed chase): consult the shard owner's slice.
-  const std::size_t owner = shard_owner(object);
-  if (!stale.has_value()) metrics.lookups_miss->inc();
-  if (node_up(owner)) {
-    auto reply = dir_lookup(origin, owner, object);
-    if (reply.has_value() && reply->found) {
-      const auto node = static_cast<std::size_t>(reply->node);
-      if (node < node_count() && node_up(node)) return finish(node);
-    }
-  }
-  // Owner down or its slice not yet re-seeded: the coordinator's map is
-  // the model's durable layer, and the last resort.
-  dir_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  metrics.fallbacks->inc();
-  std::size_t node = owner;
-  {
-    std::lock_guard lock{mutex_};
-    const ObjectId id = find_locked(object);
-    if (id.valid()) node = meta(id).node;
-  }
-  return finish(node);
+  objsys::count_in_metrics(dir_counted_, directory_->stats());
+  obs::dir_metrics().lookup_us->record(us_since(wall_start));
+  if (!lookup.host().valid()) return std::nullopt;
+  return lookup.host().value();
 }
 
-void LiveSystem::dir_publish(std::span<const DirMove> moves) {
-  std::vector<Delivery<transport::WireDirUpdate>> updates;
-  updates.reserve(3 * moves.size());
-  for (const auto& [name, src, dest] : moves) {
-    const std::size_t owner = shard_owner(name);
-    // Authoritative slice first, then the forwarding hint at the old host
-    // and a self-entry at the new one so chases terminate there.
-    updates.push_back(dir_update(owner, name, dest));
-    if (src != dest && src != owner) {
-      updates.push_back(dir_update(src, name, dest));
-    }
-    if (dest != owner) updates.push_back(dir_update(dest, name, dest));
-  }
-  deliver_all(std::span{updates});
-  if (options_.dir_strategy == objsys::ConsistencyStrategy::EagerInvalidate) {
-    for (const DirMove& move : moves) {
-      for (auto& cache : caches_) {
-        if (cache->invalidate(move.name)) {
-          dir_invalidations_.fetch_add(1, std::memory_order_relaxed);
-          obs::dir_metrics().invalidations->inc();
-        }
-      }
-    }
-  }
+objsys::DirectoryStats LiveSystem::dir_stats() const {
+  std::lock_guard lock{mutex_};
+  return directory_ ? directory_->stats() : objsys::DirectoryStats{};
 }
 
-void LiveSystem::dir_reseed_node(std::size_t node) {
-  std::vector<Delivery<transport::WireDirUpdate>> slice;
-  {
-    std::lock_guard lock{mutex_};
-    for (const Meta& m : objects_) {
-      if (m.node == kGone) continue;
-      if (shard_owner(m.name) == node) {
-        slice.push_back(dir_update(node, m.name, m.node));
-      } else if (m.node == node && !m.in_transit) {
-        // Self-entry for a reinstall.
-        slice.push_back(dir_update(node, m.name, node));
-      }
-    }
-  }
-  deliver_all(std::span{slice});
+void LiveSystem::set_directory_log(std::vector<objsys::DirectoryStep>* log) {
+  std::lock_guard lock{mutex_};
+  if (directory_) directory_->set_log(log);
 }
 
 bool LiveSystem::node_up(std::size_t node) const {
@@ -1172,22 +1079,6 @@ std::uint64_t LiveSystem::deduplicated_messages() const {
 
 std::uint64_t LiveSystem::send_rejections() const {
   return send_rejections_.load();
-}
-
-std::uint64_t LiveSystem::dir_lookups() const { return dir_lookups_.load(); }
-std::uint64_t LiveSystem::dir_cache_hits() const {
-  return dir_cache_hits_.load();
-}
-std::uint64_t LiveSystem::dir_stale_hits() const {
-  return dir_stale_hits_.load();
-}
-std::uint64_t LiveSystem::dir_forward_hops() const { return dir_hops_.load(); }
-std::uint64_t LiveSystem::dir_updates() const { return dir_updates_.load(); }
-std::uint64_t LiveSystem::dir_invalidations() const {
-  return dir_invalidations_.load();
-}
-std::uint64_t LiveSystem::dir_fallbacks() const {
-  return dir_fallbacks_.load();
 }
 
 std::uint64_t LiveSystem::transport_reconnects() const {

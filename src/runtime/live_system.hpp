@@ -48,9 +48,8 @@
 #include "fault/injector.hpp"
 #include "migration/protocol.hpp"
 #include "obs/families.hpp"
+#include "objsys/directory_core.hpp"
 #include "objsys/locality.hpp"
-#include "objsys/location_cache.hpp"
-#include "objsys/sharded_directory.hpp"
 #include "runtime/live_node.hpp"
 #include "store/store.hpp"
 #include "trace/event.hpp"
@@ -79,7 +78,8 @@ enum class TransportKind : std::uint8_t {
              ///< node), all I/O multiplexed on one net::EventLoop
 };
 
-class LiveSystem : private migration::ObjectView {
+class LiveSystem : private migration::ObjectView,
+                   private objsys::DirectoryView {
 public:
   struct Options {
     std::size_t nodes = 2;
@@ -110,10 +110,10 @@ public:
     /// served by the nodes themselves, fronted by per-origin lookup caches
     /// and forwarding hints — lookups become messages, so the protocol's
     /// consistency story is observable end to end. Each node serves one
-    /// shard.
+    /// shard; objsys::DirectoryCore decides every step.
     objsys::DirectoryKind directory = objsys::DirectoryKind::Central;
     /// How caches learn about migrations (docs/directory.md). Under
-    /// LeaseTtl a cache entry lives 50 ms.
+    /// LeaseTtl an entry lives DirectoryCore::kLeaseOps directory ops.
     objsys::ConsistencyStrategy dir_strategy =
         objsys::ConsistencyStrategy::LazyForward;
 
@@ -305,26 +305,40 @@ public:
 
   // Sharded-directory counters (all zero under DirectoryKind::Central).
   /// Location resolutions that went through the sharded protocol.
-  [[nodiscard]] std::uint64_t dir_lookups() const;
-  /// Resolutions answered by the origin's lookup cache.
-  [[nodiscard]] std::uint64_t dir_cache_hits() const;
-  /// Cached locations that turned out stale (invoke found no resident
-  /// object there) and were invalidated.
-  [[nodiscard]] std::uint64_t dir_stale_hits() const;
-  /// Forwarding-hint hops chased after stale hits (LazyForward).
-  [[nodiscard]] std::uint64_t dir_forward_hops() const;
-  /// Slice/hint updates published to shard owners and old hosts.
-  [[nodiscard]] std::uint64_t dir_updates() const;
-  /// Cache entries eagerly invalidated by migrations (EagerInvalidate).
-  [[nodiscard]] std::uint64_t dir_invalidations() const;
-  /// Resolutions that fell back to the coordinator's central map because
-  /// the shard owner was unreachable (crash window before re-seeding).
-  [[nodiscard]] std::uint64_t dir_fallbacks() const;
-  /// Node serving `name`'s directory shard (Sharded mode).
-  [[nodiscard]] std::size_t directory_shard_owner(
-      const std::string& name) const {
-    return shard_owner(name);
+  [[nodiscard]] std::uint64_t dir_lookups() const {
+    return dir_stats().lookups;
   }
+  /// Resolutions answered by the origin's lookup cache.
+  [[nodiscard]] std::uint64_t dir_cache_hits() const {
+    return dir_stats().cache_hits;
+  }
+  /// Resolutions started by an invoke that found the object gone.
+  [[nodiscard]] std::uint64_t dir_stale_hits() const {
+    return dir_stats().stale_hits;
+  }
+  /// Forwarding-hint hops chased after stale hits (LazyForward).
+  [[nodiscard]] std::uint64_t dir_forward_hops() const {
+    return dir_stats().forward_hops;
+  }
+  /// Slice/hint updates published to shard owners and old hosts.
+  [[nodiscard]] std::uint64_t dir_updates() const {
+    return dir_stats().updates;
+  }
+  /// Cache entries eagerly invalidated by migrations (EagerInvalidate).
+  [[nodiscard]] std::uint64_t dir_invalidations() const {
+    return dir_stats().invalidations;
+  }
+  /// Resolutions the coordinator's map answered (owner down, no entry).
+  [[nodiscard]] std::uint64_t dir_fallbacks() const {
+    return dir_stats().fallbacks;
+  }
+  /// Node serving `name`'s directory shard: one shard per node (FNV-1a,
+  /// so the hash is stable across processes).
+  [[nodiscard]] std::size_t directory_shard_owner(
+      const std::string& name) const;
+  /// Sharded mode, after start(): appends every directory request and
+  /// answer to `log` (null stops). Not owned.
+  void set_directory_log(std::vector<objsys::DirectoryStep>* log);
 
 private:
   /// The directory's record of one object, indexed by its dense ObjectId
@@ -380,6 +394,16 @@ private:
   }
   /// Milliseconds since construction: the unit of Options::lock_lease.
   [[nodiscard]] double now() const override;
+  // objsys::DirectoryView (`host` serves both views), under `mutex_` too.
+  [[nodiscard]] objsys::NodeId owner(migration::ObjectId obj) const override {
+    return node_id(directory_shard_owner(meta(obj).name));
+  }
+  [[nodiscard]] bool up(objsys::NodeId node) const override {
+    return node_down_[node.value()] == 0;
+  }
+  [[nodiscard]] std::size_t object_bound() const override {
+    return objects_.size();
+  }
   /// Records a protocol event on the logical clock (requires `mutex_`).
   /// No-op without Options::trace.
   void record(trace::EventKind kind, migration::ObjectId object,
@@ -490,47 +514,18 @@ private:
   void run_fault_schedule();
 
   // --- sharded directory (DirectoryKind::Sharded) ------------------------
-  [[nodiscard]] bool sharded() const {
-    return options_.directory == objsys::DirectoryKind::Sharded;
-  }
-  /// Node serving the shard an object name hashes to: one shard per node
-  /// (FNV-1a, so the hash is stable across processes).
-  [[nodiscard]] std::size_t shard_owner(const std::string& name) const;
-  /// Cache index for an origin (kExternalSender maps to the extra slot).
-  [[nodiscard]] std::size_t cache_slot(
-      std::optional<std::size_t> from) const {
-    return from.value_or(node_count());
-  }
-  /// A request publishing `name -> node` into the directory entry table
-  /// served by `target`, counted as one directory update. Best-effort: an
-  /// unreachable target just stays stale — the resolve path tolerates
-  /// that, and restart reconciliation re-seeds it.
-  Delivery<transport::WireDirUpdate> dir_update(std::size_t target,
-                                                const std::string& name,
-                                                std::size_t node);
-  /// One directory lookup served by `target`; nullopt = unreachable.
-  std::optional<transport::DirEntry> dir_lookup(std::size_t from,
-                                                std::size_t target,
-                                                const std::string& name);
-  /// Resolves an object's node through cache -> forwarding chase -> shard
-  /// owner -> central-map fallback. `stale` names a node an invoke just
-  /// found empty, triggering invalidation and a hint chase from there.
-  std::size_t resolve_sharded(std::optional<std::size_t> from,
-                              const std::string& object,
-                              std::optional<std::size_t> stale);
-  /// An object's move from `src` to `dest`, as the directory announces it.
-  struct DirMove {
-    std::string name;
-    std::size_t src = 0;
-    std::size_t dest = 0;
-  };
-  /// Announces migrations: per move, the slice update at the shard owner,
-  /// the forwarding hint at the old host and a self-entry at the new one,
-  /// all sent before any is awaited; then eager cache invalidation when
-  /// configured.
-  void dir_publish(std::span<const DirMove> moves);
-  /// Re-seeds a restarted node's shard slice from the central map.
-  void dir_reseed_node(std::size_t node);
+  /// Resolves `id` for a caller at `from` through the directory core,
+  /// sending each lookup it asks for; `stale` names a node an invoke just
+  /// found without it. nullopt = unresolved: the host is down. Called and
+  /// returns with `lock` held on `mutex_`.
+  std::optional<std::size_t> locate_locked(
+      std::unique_lock<std::mutex>& lock, std::optional<std::size_t> from,
+      migration::ObjectId id, std::optional<std::size_t> stale);
+  /// Sends the updates `updates()` returns (called under `mutex_`), all
+  /// before any is awaited. Best-effort: a restart reseeds what is lost.
+  template <class F>
+  void dir_send(F&& updates);
+  [[nodiscard]] objsys::DirectoryStats dir_stats() const;
 
   /// Rebuilds the directory from the recovered store and reinstalls every
   /// surviving object on its recorded node (start() with a data_dir).
@@ -563,9 +558,10 @@ private:
   /// Cached obs family ("adaptive" / "adaptive-load"); set in start().
   std::optional<obs::PolicyMetrics> policy_obs_;
 
-  /// Per-origin lookup caches (node_count() + 1 entries; the last one
-  /// serves external senders). Pointers because the caches hold mutexes.
-  std::vector<std::unique_ptr<objsys::NamedLocationCache>> caches_;
+  /// The sharded directory's protocol (Sharded mode), and its counters as
+  /// last counted into the registry.
+  std::optional<objsys::DirectoryCore> directory_;
+  objsys::DirectoryStats dir_counted_;
 
   std::unique_ptr<fault::FaultInjector> injector_;
   /// Coordinator-level durable store (Options::data_dir); null = in-memory.
@@ -598,13 +594,6 @@ private:
   std::atomic<std::uint64_t> durable_recoveries_{0};
   std::atomic<std::uint64_t> replayed_objects_{0};
   std::atomic<std::uint64_t> send_rejections_{0};
-  std::atomic<std::uint64_t> dir_lookups_{0};
-  std::atomic<std::uint64_t> dir_cache_hits_{0};
-  std::atomic<std::uint64_t> dir_stale_hits_{0};
-  std::atomic<std::uint64_t> dir_hops_{0};
-  std::atomic<std::uint64_t> dir_updates_{0};
-  std::atomic<std::uint64_t> dir_invalidations_{0};
-  std::atomic<std::uint64_t> dir_fallbacks_{0};
 };
 
 }  // namespace omig::runtime

@@ -105,10 +105,20 @@ TEST(LocationFuzzTest, ForwardingCursorsStayMonotoneAcrossRandomHistories) {
   }
 }
 
-TEST(LocationFuzzTest, ShardedModelMatchesRegistryUnderRandomTraffic) {
+/// Runs one sharded lookup to completion and returns the host it named.
+NodeId locate(Fixture& f, LocationService& svc, NodeId from, ObjectId obj,
+              NodeId stale = NodeId::invalid()) {
+  NodeId host;
+  f.engine.spawn(svc.lookup(from, obj, stale, host));
+  f.engine.run();
+  return host;
+}
+
+TEST(LocationFuzzTest, ShardedDirectoryTracksRegistryUnderRandomTraffic) {
   // The sharded directory inside a LocationService must track the
-  // registry: after any interleaving of migrations and resolves, the
-  // model's authoritative host equals the registry's location.
+  // registry: after any interleaving of migrations and lookups, a lookup
+  // names the registry's location, or a stale host whose failed call
+  // sends one more lookup straight there.
   constexpr std::uint64_t kSeeds = 32;
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     std::mt19937_64 rng{seed};
@@ -116,9 +126,7 @@ TEST(LocationFuzzTest, ShardedModelMatchesRegistryUnderRandomTraffic) {
     Fixture f{nodes};
     LocationService svc{f.engine, f.registry, f.latency, f.rng,
                         LocationScheme::None};
-    ShardedDirectoryOptions opts;
-    opts.strategy = static_cast<ConsistencyStrategy>(seed % 3);
-    svc.enable_sharded(opts);
+    svc.enable_sharded(static_cast<ConsistencyStrategy>(seed % 3));
     ASSERT_EQ(svc.directory(), DirectoryKind::Sharded);
 
     std::vector<ObjectId> ids;
@@ -127,25 +135,31 @@ TEST(LocationFuzzTest, ShardedModelMatchesRegistryUnderRandomTraffic) {
           "s" + std::to_string(i),
           NodeId{static_cast<NodeId::value_type>(rng() % nodes)}));
     }
+    auto settles = [&](NodeId from, ObjectId obj) {
+      const NodeId named = locate(f, svc, from, obj);
+      const NodeId truth = f.registry.location(obj);
+      return named == truth || locate(f, svc, from, obj, named) == truth;
+    };
     for (int op = 0; op < 60; ++op) {
       const ObjectId obj = ids[rng() % ids.size()];
       if (rng() % 2 == 0) {
         const NodeId dest{static_cast<NodeId::value_type>(rng() % nodes)};
         const NodeId from = f.registry.location(obj);
+        (void)svc.migration_overhead(obj, from, dest, true);
         f.registry.begin_transit(obj);
         f.registry.finish_transit(obj, dest);
-        (void)svc.migration_overhead(obj, from, dest, true);
       } else {
         const NodeId from{static_cast<NodeId::value_type>(rng() % nodes)};
-        (void)resolve_cost(f, svc, from, obj);
+        ASSERT_TRUE(settles(from, obj)) << "seed " << seed << " op " << op;
       }
     }
-    ASSERT_NE(svc.sharded(), nullptr);
     for (const ObjectId obj : ids) {
-      if (!svc.sharded()->contains(obj)) continue;  // never touched
-      EXPECT_EQ(svc.sharded()->current_host(obj), f.registry.location(obj))
-          << "seed " << seed;
+      for (std::size_t n = 0; n < nodes; ++n) {
+        EXPECT_TRUE(settles(NodeId{static_cast<NodeId::value_type>(n)}, obj))
+            << "seed " << seed;
+      }
     }
+    EXPECT_EQ(svc.sharded()->stats().unresolved, 0u) << "seed " << seed;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -385,6 +386,26 @@ TEST(LiveNodeTest, CrashAndRestartOnStoppedNodeAreNoops) {
   node.restart();
   EXPECT_TRUE(node.running());
   EXPECT_EQ(node.hosted_objects(), 0u);  // crash dropped all state
+}
+
+TEST(LiveNodeTest, ReplacingInstallCountsTheObjectOnce) {
+  const std::unordered_map<std::string, ObjectFactory> factories{
+      {"counter", counter_factory()}};
+  LiveNode node{0, &factories};
+  node.start();
+  // Two installs of one name (a put-back onto a source that kept its
+  // copy): the node hosts one object.
+  for (const std::uint64_t seq : {1u, 2u}) {
+    std::future<bool> installed;
+    ASSERT_EQ(node.mailbox().push(envelop(
+                  transport::WireInstall{
+                      .seq = seq, .name = "c", .state = counter_state()},
+                  installed)),
+              PushStatus::Ok);
+    EXPECT_TRUE(installed.get());
+  }
+  EXPECT_EQ(node.hosted_objects(), 1u);
+  node.stop();
 }
 
 TEST(LiveSystemTest, StopIsIdempotentAndConcurrent) {
