@@ -1,5 +1,5 @@
-// Live-runtime demo: the same primitives on real threads. Three node
-// threads host a shopping-cart service; two "applications" race move()
+// Live-runtime demo: the same primitives on real threads. Three nodes
+// host a shopping-cart service; two "applications" race move()
 // blocks against the shared cart — once with the conventional policy
 // (the loser's work is stolen mid-flight) and once with transient
 // placement (the conflicting move is refused and falls back to remote

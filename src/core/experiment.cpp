@@ -109,6 +109,18 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     invoker.set_location_service(&*service);
     manager.set_location_service(&*service);
   }
+  if (health.has_value() && service && service->sharded() != nullptr) {
+    // Crashes reach the directory as they do in the live runtime: the
+    // node's tables and cache die with it, and a restart reseeds them.
+    health->set_observer([&service](std::size_t node, bool up) {
+      const objsys::NodeId id{static_cast<objsys::NodeId::value_type>(node)};
+      if (up) {
+        service->restart_node(id);
+      } else {
+        service->crash_node(id);
+      }
+    });
+  }
 
   auto policy = migration::make_policy(config.policy, manager);
   Recorder recorder{engine, config.stopping, config.warmup_time};

@@ -106,12 +106,14 @@ void NodeHealth::mark_down(std::size_t node) {
   if (!gates_[node]->is_open()) return;
   gates_[node]->close();
   ++crashes_;
+  if (observer_) observer_(node, false);
 }
 
 void NodeHealth::mark_up(std::size_t node) {
   OMIG_REQUIRE(node < gates_.size(), "node index out of range");
   if (gates_[node]->is_open()) return;
   ++restarts_;
+  if (observer_) observer_(node, true);
   gates_[node]->open();
 }
 

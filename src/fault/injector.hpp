@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -105,6 +106,13 @@ class NodeHealth {
   void mark_down(std::size_t node);
   void mark_up(std::size_t node);
 
+  /// Told of every transition — (node, false) right after a crash,
+  /// (node, true) right before a restart wakes the node's waiters — so
+  /// services that keep per-node state (the sharded directory) crash and
+  /// recover with the node.
+  using Observer = std::function<void(std::size_t node, bool up)>;
+  void set_observer(Observer observer) { observer_ = std::move(observer); }
+
   /// Resumes once the node is up (immediately if it already is).
   sim::Task wait_up(std::size_t node);
 
@@ -113,6 +121,7 @@ class NodeHealth {
 
  private:
   std::vector<std::unique_ptr<sim::Gate>> gates_;
+  Observer observer_;
   std::uint64_t crashes_ = 0;
   std::uint64_t restarts_ = 0;
 };

@@ -64,7 +64,9 @@ void LocationService::crash_node(NodeId node) {
 
 void LocationService::restart_node(NodeId node) {
   down_[node.value()] = 0;
-  apply(core_->reseed(node));
+  const std::vector<DirectoryRequest> updates = core_->reseed(node);
+  apply(updates);
+  messages_ += updates.size();  // one message each, as published updates
 }
 
 sim::Task LocationService::lookup(NodeId from, ObjectId obj, NodeId stale,

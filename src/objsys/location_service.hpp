@@ -76,7 +76,8 @@ public:
   /// Sharded: `node` crashes. Its table and its lookup cache are lost, and
   /// no request is sent to it until restart_node().
   void crash_node(NodeId node);
-  /// Sharded: `node` restarts, and its table is reseeded.
+  /// Sharded: `node` restarts, and its table is reseeded — one message
+  /// per update, as a migration's published updates are charged.
   void restart_node(NodeId node);
 
   /// Extra duration a migration of `obj` from `from` to `dest` takes for

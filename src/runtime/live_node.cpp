@@ -24,8 +24,8 @@ LiveNode::~LiveNode() { stop(); }
 
 std::size_t LiveNode::preload_from_store() {
   OMIG_REQUIRE(store_ != nullptr, "attach a store before preloading");
-  std::lock_guard lock{lifecycle_mutex_};
-  OMIG_REQUIRE(!thread_.joinable(), "preload before start()");
+  std::lock_guard lock{mutex_};
+  OMIG_REQUIRE(!up_, "preload before the node comes up");
   std::size_t restored = 0;
   for (const auto& [name, obj] : store_->view()) {
     if (obj.state.empty()) continue;  // location-only record
@@ -41,65 +41,97 @@ std::size_t LiveNode::preload_from_store() {
   return restored;
 }
 
-void LiveNode::start() {
+PushStatus LiveNode::serve(Message message) {
+  return std::visit(
+      [this](auto& envelope) {
+        auto reply = serve(envelope.body);
+        if (!reply.has_value()) return PushStatus::Closed;
+        envelope.reply.set_value(std::move(*reply));
+        return PushStatus::Ok;
+      },
+      message);
+}
+
+std::optional<transport::Frame> LiveNode::serve_frame(
+    transport::Frame&& request) {
+  const std::uint64_t corr = request.corr;
+  return std::visit(
+      [&](auto& body) -> std::optional<transport::Frame> {
+        using T = std::decay_t<decltype(body)>;
+        if constexpr (transport::Request<T>) {
+          auto reply = serve(body);
+          if (!reply.has_value()) return std::nullopt;
+          return transport::Frame{corr,
+                                  transport::WireReply<T>{std::move(*reply)}};
+        } else {
+          return std::nullopt;
+        }
+      },
+      request.payload);
+}
+
+void LiveNode::open() {
   std::lock_guard lock{lifecycle_mutex_};
-  if (thread_.joinable()) return;  // already running: idempotent
-  if (mailbox_.closed()) mailbox_.reopen();
-  thread_ = std::thread{[this] { run(); }};
+  {
+    std::lock_guard state{mutex_};
+    up_ = true;
+  }
+  if (drains_mailbox_ && !drain_.joinable()) {
+    mailbox_.reopen();
+    drain_ = std::thread{[this] {
+      // Ends once the mailbox is closed and drained (stop, or a crash).
+      while (auto msg = mailbox_.pop()) (void)serve(std::move(*msg));
+    }};
+  }
+}
+
+void LiveNode::start() {
+  {
+    std::lock_guard lock{lifecycle_mutex_};
+    drains_mailbox_ = true;
+  }
+  open();
 }
 
 void LiveNode::stop() {
   std::lock_guard lock{lifecycle_mutex_};
-  if (!thread_.joinable()) return;  // already stopped: idempotent
-  // Close first so no message can slip in behind the shutdown: the loop
-  // drains what is already queued, then pop() signals exhaustion.
+  // Close first so no message can slip in behind the shutdown: the drain
+  // serves what is already queued, then pop() signals exhaustion.
   mailbox_.close();
-  thread_.join();
+  if (drain_.joinable()) drain_.join();
+  std::lock_guard state{mutex_};
+  up_ = false;
 }
 
 void LiveNode::crash() {
   std::lock_guard lock{lifecycle_mutex_};
-  if (!thread_.joinable()) return;
-  // Queued messages die undelivered; their promises break, which is how
+  {
+    // Taking the mutex waits for the handler in flight; every later
+    // request is rejected, and volatile node state is lost with the
+    // process.
+    std::lock_guard state{mutex_};
+    if (!up_) return;
+    up_ = false;
+    obs::node_metrics().hosted_objects->sub(
+        static_cast<std::int64_t>(hosted_.load()));
+    objects_.clear();
+    installed_seq_.clear();
+    invoke_replies_.clear();
+    invoke_order_.clear();
+    evicted_states_.clear();
+    evict_order_.clear();
+    dir_entries_.clear();
+    hosted_.store(0);
+  }
+  // Queued messages die undelivered; their replies break, which is how
   // senders observe the failure.
   mailbox_.close_and_discard();
-  thread_.join();
-  obs::node_metrics().hosted_objects->sub(
-      static_cast<std::int64_t>(hosted_.load()));
-  // Volatile node state is lost with the process.
-  objects_.clear();
-  installed_seq_.clear();
-  invoke_replies_.clear();
-  invoke_order_.clear();
-  evicted_states_.clear();
-  evict_order_.clear();
-  dir_entries_.clear();
-  hosted_.store(0);
-  dir_entry_count_.store(0);
-}
-
-void LiveNode::restart() {
-  std::lock_guard lock{lifecycle_mutex_};
-  if (thread_.joinable()) return;  // still running: nothing to do
-  mailbox_.reopen();
-  thread_ = std::thread{[this] { run(); }};
+  if (drain_.joinable()) drain_.join();
 }
 
 bool LiveNode::running() const {
-  std::lock_guard lock{lifecycle_mutex_};
-  return thread_.joinable() && !mailbox_.closed();
-}
-
-void LiveNode::run() {
-  // Ends once the mailbox is closed and drained (stop, or a shutdown).
-  while (auto msg = mailbox_.pop()) {
-    processed_.fetch_add(1, std::memory_order_relaxed);
-    std::visit(
-        [this](auto& envelope) {
-          envelope.reply.set_value(handle(envelope.body));
-        },
-        *msg);
-  }
+  std::lock_guard lock{mutex_};
+  return up_;
 }
 
 template <class V>
@@ -188,7 +220,6 @@ bool LiveNode::handle(const transport::WireDirUpdate& msg) {
   // Idempotent: the update carries the absolute new value, so a
   // retransmission converges to the same state.
   dir_entries_[msg.name] = msg.node;
-  dir_entry_count_.store(dir_entries_.size(), std::memory_order_relaxed);
   return true;
 }
 

@@ -1,5 +1,7 @@
 #include "runtime/live_object.hpp"
 
+#include <exception>
+
 namespace omig::runtime {
 
 LiveObject::LiveObject(std::string name, ObjectState state)
@@ -15,7 +17,14 @@ InvokeResult LiveObject::call(const std::string& method,
   if (it == methods_.end()) {
     return InvokeResult{false, "no such method: " + method};
   }
-  return InvokeResult{true, it->second(state_, argument)};
+  try {
+    return InvokeResult{true, it->second(state_, argument)};
+  } catch (const std::exception& e) {
+    // The method runs on whichever thread delivered the call — the
+    // caller's, or the event loop's — so its failure comes back as the
+    // reply and never unwinds through the runtime.
+    return InvokeResult{false, "method " + method + " failed: " + e.what()};
+  }
 }
 
 }  // namespace omig::runtime

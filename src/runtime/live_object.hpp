@@ -29,7 +29,8 @@ public:
   /// Registers `method` under `name`; replaces an existing registration.
   void register_method(const std::string& name, Method method);
 
-  /// Invokes a method; returns ok=false with an error text if unknown.
+  /// Invokes a method; returns ok=false with an error text if it is
+  /// unknown or throws.
   InvokeResult call(const std::string& method, const std::string& argument);
 
   /// Linearises the object for transfer (state copy).

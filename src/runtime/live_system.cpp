@@ -8,7 +8,6 @@
 #include "obs/families.hpp"
 #include "runtime/serde.hpp"
 #include "trace/log.hpp"
-#include "transport/bridge.hpp"
 #include "transport/node_server.hpp"
 #include "transport/async_tcp_transport.hpp"
 #include "util/assert.hpp"
@@ -94,7 +93,7 @@ void LiveSystem::start() {
     nodes_.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       nodes_.push_back(std::make_unique<LiveNode>(i, &factories_));
-      nodes_.back()->start();
+      nodes_.back()->open();
     }
   }
   node_down_.assign(count, 0);
@@ -123,18 +122,16 @@ void LiveSystem::start() {
     if (remote()) {
       peers = options_.remote_nodes;
     } else {
-      // Local TCP: every node gets a loopback frame server bridging onto
-      // its mailbox, and traffic takes the full marshalling round trip.
+      // Local TCP: every node gets a loopback frame server that serves it
+      // on the loop thread, and traffic takes the full marshalling round
+      // trip.
       servers_.reserve(count);
       for (std::size_t i = 0; i < count; ++i) {
-        Mailbox<Message>& box = nodes_[i]->mailbox();
-        // One handler strand per server: the node's mailbox serialises
-        // request execution anyway, so extra strands buy nothing here.
         servers_.push_back(std::make_unique<transport::NodeServer>(
-            [&box](transport::Frame frame) {
-              return transport::serve_on_mailbox(box, std::move(frame));
+            [node = nodes_[i].get()](transport::Frame frame) {
+              return node->serve_frame(std::move(frame));
             },
-            net_loop_.get(), /*handler_threads=*/1));
+            net_loop_.get()));
         const std::uint16_t port = servers_.back()->start();
         OMIG_REQUIRE(port != 0, "could not bind a loopback listener");
         peers.push_back(transport::Peer{"127.0.0.1", port});
@@ -150,7 +147,7 @@ void LiveSystem::start() {
   } else {
     transport_ = std::make_unique<transport::InProcTransport>(
         [this](std::size_t to) {
-          return to < nodes_.size() ? &nodes_[to]->mailbox() : nullptr;
+          return to < nodes_.size() ? nodes_[to].get() : nullptr;
         },
         injector_.get());
   }
@@ -218,10 +215,9 @@ void LiveSystem::stop() {
   }
   fault_cv_.notify_all();
   if (fault_thread_.joinable()) fault_thread_.join();
-  for (auto& node : nodes_) node->stop();
-  // Servers after nodes: any handler still awaiting a reply gets its
-  // promise broken by the node teardown and unblocks immediately.
+  // Servers first: once they are down no loop code touches a node.
   for (auto& server : servers_) server->stop();
+  for (auto& node : nodes_) node->stop();
   // Final compaction: fold the WAL into one snapshot so the next start()
   // recovers from a single file. Best-effort — a dead store skips it.
   if (store_ != nullptr) (void)store_->compact();
@@ -295,13 +291,15 @@ template <transport::Request Req>
 void LiveSystem::deliver_all(std::span<Delivery<Req>> batch,
                              bool stop_on_rejection) {
   for (Delivery<Req>& d : batch) {
+    if (d.rejected) continue;  // the peer is known down: nothing is sent
     d.request.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
     d.rejected = !sent_ok(transport_->send(d.from, d.to, d.request, d.first));
   }
-  // Await the first attempts last-sent first: a node answers its mailbox,
-  // and a NodeServer its connection, in order, so once the last request to
-  // a node is answered the earlier ones are too — the caller blocks about
-  // once per destination rather than once per request.
+  // In-proc replies are ready when send() returns. Over a socket, await
+  // the first attempts last-sent first: a NodeServer answers each
+  // connection in order, so once the last request to a node is answered
+  // the earlier ones are too — the caller blocks about once per
+  // destination rather than once per request.
   for (auto d = batch.rbegin(); d != batch.rend(); ++d) {
     if (!d->rejected) d->reply = await_reply(d->first);
   }
@@ -448,19 +446,6 @@ std::optional<std::size_t> LiveSystem::location(
   const ObjectId id = find_locked(name);
   if (!id.valid()) return std::nullopt;
   return meta(id).node;
-}
-
-InvokeResult LiveSystem::invoke(const std::string& object,
-                                const std::string& method,
-                                const std::string& argument) {
-  return invoke_impl(std::nullopt, object, method, argument);
-}
-
-InvokeResult LiveSystem::invoke_from(std::size_t from,
-                                     const std::string& object,
-                                     const std::string& method,
-                                     const std::string& argument) {
-  return invoke_impl(from, object, method, argument);
 }
 
 InvokeResult LiveSystem::invoke_impl(std::optional<std::size_t> from,
@@ -655,16 +640,19 @@ void LiveSystem::relocate(const std::vector<Leg>& legs, BlockId block) {
   const auto wall_start = std::chrono::steady_clock::now();
 
   // Phase 1: pull every member's state off its source; each evict travels
-  // dest -> src. A dead source ends its member's attempts early — recovery
-  // takes over below — and holds up no other member.
+  // dest -> src. A source known to be down gets none, and one that dies
+  // meanwhile ends its member's attempts early: recovery takes over below,
+  // and neither holds up another member.
   std::vector<Delivery<transport::WireEvict>> evicts;
   evicts.reserve(legs.size());
   {
     std::lock_guard lock{mutex_};
     for (const Leg& leg : legs) {
       const Meta& m = meta(leg.id);
-      evicts.push_back(
-          {.from = leg.dest, .to = m.node, .request = {.name = m.name}});
+      evicts.push_back({.from = leg.dest,
+                        .to = m.node,
+                        .request = {.name = m.name},
+                        .rejected = node_down_[m.node] != 0});
     }
   }
   deliver_all(std::span{evicts}, /*stop_on_rejection=*/true);
@@ -686,9 +674,9 @@ void LiveSystem::relocate(const std::vector<Leg>& legs, BlockId block) {
       Meta& m = meta(legs[i].id);
       std::optional<ObjectState>& state = evicts[i].reply;
       if (!state.has_value() || state->type.empty()) {
-        // The source is unreachable or lost the object with a crash:
-        // recover the last checkpoint. Degraded mode — updates since the
-        // checkpoint are gone, but the object itself survives
+        // The source is down, unreachable, or lost the object with a
+        // crash: recover the last checkpoint. Degraded mode — updates
+        // since the checkpoint are gone, but the object itself survives
         // (docs/fault_model.md).
         state = m.checkpoint;
         recoveries_.fetch_add(1, std::memory_order_relaxed);
@@ -792,18 +780,6 @@ bool LiveSystem::migrate(const std::string& object, std::size_t dest,
   }
   relocate(claimed, BlockId::invalid());
   return true;
-}
-
-LiveSystem::MoveToken LiveSystem::move(const std::string& object,
-                                       std::size_t dest,
-                                       const std::string& alliance) {
-  return open_block(object, dest, alliance, /*visit=*/false);
-}
-
-LiveSystem::MoveToken LiveSystem::visit(const std::string& object,
-                                        std::size_t dest,
-                                        const std::string& alliance) {
-  return open_block(object, dest, alliance, /*visit=*/true);
 }
 
 LiveSystem::MoveToken LiveSystem::open_block(const std::string& object,

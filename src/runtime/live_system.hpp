@@ -1,6 +1,7 @@
 // Live distributed-object system: the paper's primitives on real threads.
 //
-// Each node is a thread with a mailbox; objects are property bags with a
+// Each node is a lock-guarded object table (LiveNode) whose handlers run
+// on the thread that delivers a request; objects are property bags with a
 // method table, linearised for transfer exactly as the proxies of Section
 // 3.1 linearise calls. The system layer keeps the directory and carries
 // out the placement protocol — the same migration::ProtocolCore the
@@ -9,12 +10,13 @@
 // reproduced outside the simulator.
 //
 // All inter-node traffic goes through a transport::Transport
-// (docs/transport.md). The default InProc backend delivers straight into
-// the node mailboxes; the AsyncTcp backend encodes every request into a
-// wire frame and sends it over a localhost socket from one event loop —
-// either to NodeServers bridging back into this process's own nodes, or
-// (remote mode) to omig_node processes, which makes the system a cluster
-// coordinator.
+// (docs/transport.md). The default InProc backend runs the destination
+// node's handler on the calling thread, so a local invocation is a
+// function call; the AsyncTcp backend encodes every request into a wire
+// frame and sends it over a localhost socket from one event loop — either
+// to NodeServers that serve this process's own nodes on that loop's
+// thread, or (remote mode) to omig_node processes, which makes the system
+// a cluster coordinator. No thread is started per node.
 //
 // Failure model (all off by default; see docs/fault_model.md): a
 // FaultPlan perturbs message delivery (drop / delay / duplicate) and
@@ -73,7 +75,7 @@ namespace omig::runtime {
 /// Which backend carries inter-node traffic. When Options::remote_nodes
 /// is set, InProc is meaningless and upgrades to AsyncTcp.
 enum class TransportKind : std::uint8_t {
-  InProc,    ///< enveloped requests straight into the mailboxes
+  InProc,    ///< the node serves each request on the sending thread
   AsyncTcp,  ///< wire frames over localhost sockets (a NodeServer per
              ///< node), all I/O multiplexed on one net::EventLoop
 };
@@ -122,8 +124,8 @@ public:
     TransportKind transport = TransportKind::InProc;
     /// Remote cluster mode: endpoints of already-running omig_node
     /// processes, indexed by node id. Non-empty means this system hosts no
-    /// local node threads (`nodes` is ignored) and coordinates the cluster
-    /// over TCP.
+    /// local nodes (`nodes` is ignored) and coordinates the cluster over
+    /// TCP.
     std::vector<transport::Peer> remote_nodes;
     /// Optional protocol-event trace, recorded at the directory layer on a
     /// logical clock so the same workload yields the same trace under
@@ -174,18 +176,19 @@ public:
   /// Must be called before `start()`.
   void register_type(const std::string& type, ObjectFactory factory);
 
-  /// Starts all node threads and the transport (and the fault schedule, if
-  /// any). In remote mode no node threads start — the configured omig_node
-  /// processes must already be listening.
+  /// Brings up every node and the transport, and starts the fault
+  /// schedule's thread if the plan has crashes. In remote mode no node is
+  /// hosted here — the configured omig_node processes must already be
+  /// listening.
   void start();
-  /// Stops all node threads (also done by the destructor). Idempotent and
+  /// Takes every node down (also done by the destructor). Idempotent and
   /// safe to call from several threads concurrently. Remote node processes
   /// are left running — see shutdown_remote_nodes().
   void stop();
 
   [[nodiscard]] std::size_t node_count() const { return hosted_.size(); }
   /// True when this system coordinates omig_node processes over TCP
-  /// instead of hosting its own node threads.
+  /// instead of hosting its own nodes.
   [[nodiscard]] bool remote() const { return !options_.remote_nodes.empty(); }
 
   /// Creates an object on `node`. Fails (returns false) on duplicate names
@@ -198,14 +201,18 @@ public:
 
   /// Synchronous invocation from outside any node.
   InvokeResult invoke(const std::string& object, const std::string& method,
-                      const std::string& argument);
+                      const std::string& argument) {
+    return invoke_impl(std::nullopt, object, method, argument);
+  }
 
   /// Synchronous invocation on behalf of code running at `from` — counts
   /// remote statistics, pays the artificial remote latency, and feeds the
   /// adaptive kinds' locality EMA.
   InvokeResult invoke_from(std::size_t from, const std::string& object,
                            const std::string& method,
-                           const std::string& argument);
+                           const std::string& argument) {
+    return invoke_impl(from, object, method, argument);
+  }
 
   // --- the paper's primitives ------------------------------------------------
   void fix(const std::string& name);
@@ -228,12 +235,16 @@ public:
   /// refuses if a conflicting move holds the object; conventional always
   /// migrates; the adaptive kinds may pick another node or stay put.
   MoveToken move(const std::string& object, std::size_t dest,
-                 const std::string& alliance = "");
+                 const std::string& alliance = "") {
+    return open_block(object, dest, alliance, /*visit=*/false);
+  }
 
   /// visit(): like move(), but end() migrates the moved objects back to
   /// where they came from (paper Section 2.3, call-by-visit).
   MoveToken visit(const std::string& object, std::size_t dest,
-                  const std::string& alliance = "");
+                  const std::string& alliance = "") {
+    return open_block(object, dest, alliance, /*visit=*/true);
+  }
 
   /// end(): releases the block's placement locks and open-move counts and
   /// runs the migrations the end-request triggers — visit() return trips,
@@ -242,12 +253,12 @@ public:
   void end(MoveToken& token);
 
   // --- failure injection -----------------------------------------------------
-  /// Abruptly kills node `node`: queued messages are destroyed, hosted
-  /// object state is lost; under TCP its listener goes down too, so peers
-  /// observe connection resets. Locks held by move-blocks that originated
-  /// there stay held until their lease expires. In remote mode this only
-  /// records the death (kill the process yourself) and resets the
-  /// connection. Also driven automatically by the fault plan's crashes.
+  /// Abruptly kills node `node`: it rejects every later request, and its
+  /// hosted object state is lost; under TCP its listener goes down too, so
+  /// peers observe connection resets. Locks held by move-blocks that
+  /// originated there stay held until their lease expires. In remote mode
+  /// this only records the death (kill the process yourself) and resets
+  /// the connection. Also driven automatically by the fault plan's crashes.
   void crash_node(std::size_t node);
   /// Restarts a crashed node and reconciles the directory: every object
   /// the directory places there is reinstalled from its last checkpoint.
@@ -296,9 +307,9 @@ public:
   /// Messages answered from the nodes' dedup caches.
   [[nodiscard]] std::uint64_t deduplicated_messages() const;
   /// Sends the transport rejected with a typed status (a crashed in-proc
-  /// node's closed mailbox, an oversized frame) — each one fed a retry
-  /// decision. A dead socket peer shows up as retries() instead: its
-  /// replies are lost, not rejected.
+  /// node, an oversized frame) — each one fed a retry decision. A dead
+  /// socket peer shows up as retries() instead: its replies are lost, not
+  /// rejected.
   [[nodiscard]] std::uint64_t send_rejections() const;
   /// TCP connections re-established after a reset (0 for in-proc).
   [[nodiscard]] std::uint64_t transport_reconnects() const;
@@ -445,7 +456,9 @@ private:
     /// rejected an attempt outright.
     std::optional<typename Req::Reply> reply{};
     std::future<typename Req::Reply> first{};  ///< the attempt in flight
-    bool rejected = false;  ///< the transport refused the first attempt
+    /// The transport refused the first attempt — or the caller set it, as
+    /// the peer is known down, and deliver_all() sends nothing.
+    bool rejected = false;
   };
 
   MoveToken open_block(const std::string& object, std::size_t dest,
@@ -485,7 +498,11 @@ private:
   /// retries those that failed, in order. Each request gets a fresh
   /// sequence number that its retries reuse, so the receiving node applies
   /// it at most once; retries follow an exponential backoff. With
-  /// `stop_on_rejection`, a request the transport rejects is not retried.
+  /// `stop_on_rejection`, a request the transport rejects (or that is
+  /// marked rejected beforehand) is not retried.
+  /// Never called with `mutex_` held: an in-proc send runs the node's
+  /// handler on this thread, and handlers never call into the system, so
+  /// a node's mutex is always the innermost lock.
   template <transport::Request Req>
   void deliver_all(std::span<Delivery<Req>> batch,
                    bool stop_on_rejection = false);
@@ -572,6 +589,7 @@ private:
   std::unique_ptr<net::EventLoop> net_loop_;
   /// One frame server per local node in TCP mode (empty otherwise).
   std::vector<std::unique_ptr<transport::NodeServer>> servers_;
+  /// Every send runs outside `mutex_` (see deliver_all()).
   std::unique_ptr<transport::Transport> transport_;
   /// transport_, when it is the socket backend.
   transport::AsyncTcpTransport* tcp_ = nullptr;

@@ -1,4 +1,5 @@
-// Blocking multi-producer mailbox for live-runtime nodes.
+// Blocking multi-producer mailbox: LiveNode's adaptor for standalone
+// users that hand requests to a node's drain thread.
 #pragma once
 
 #include <condition_variable>
@@ -9,16 +10,16 @@
 
 namespace omig::runtime {
 
-/// Typed verdict of a mailbox push. A rejection used to be observable only
-/// through the broken promise inside the destroyed message; the explicit
-/// status lets the retry/backoff layer count and log the rejection instead
-/// of inferring it.
+/// Typed verdict of a mailbox push, and of LiveNode::serve. A rejection
+/// used to be observable only through the broken promise inside the
+/// destroyed message; the explicit status lets the retry/backoff layer
+/// count and log the rejection instead of inferring it.
 enum class PushStatus : std::uint8_t {
   Ok = 0,
   Closed,  ///< endpoint closed (node stopped or crashed); message dropped
 };
 
-/// Unbounded MPSC queue: any thread pushes, the owning node thread pops.
+/// Unbounded MPSC queue: any thread pushes, the node's drain thread pops.
 ///
 /// Shutdown semantics: `close()` transitions the mailbox to closed exactly
 /// once — the first call wakes every blocked receiver, later calls are

@@ -1,10 +1,14 @@
-// The message a live node's mailbox carries.
+// A request in its envelope: what Transport::send carries.
 //
 // A request has one form wherever it travels, as the proxies of Section
 // 3.1 linearise a call into one form: the Wire* bodies of transport/wire.
 // In-process a body rides in an Envelope next to the promise its reply
-// fulfils; over a socket the same body is encoded into a frame and the
-// promise waits at the sender for the reply frame.
+// fulfils, and the destination node serves it on the sending thread; over
+// a socket the same body is encoded into a frame and the promise waits at
+// the sender for the reply frame. Three users still need the envelope:
+// Transport::send's signature (so the system layer awaits a future on
+// either backend), AsyncTcpTransport's parked replies, and LiveNode's
+// mailbox adaptor for standalone users.
 #pragma once
 
 #include <future>
@@ -18,14 +22,14 @@ namespace omig::runtime {
 
 /// One request plus the promise its reply fulfils. An envelope destroyed
 /// unanswered breaks the promise — the "lost in flight" signal the retry
-/// layer reads (injected drop, crashed node, closed mailbox, reset link).
+/// layer reads (injected drop, node down, closed mailbox, reset link).
 template <transport::Request Req>
 struct Envelope {
   Req body;
   std::promise<typename Req::Reply> reply;
 };
 
-/// What a node mailbox carries: every request kind, each in its envelope.
+/// Every request kind, each in its envelope.
 using Message = std::variant<Envelope<transport::WireInvoke>,
                              Envelope<transport::WireInstall>,
                              Envelope<transport::WireEvict>,

@@ -1,11 +1,15 @@
 // Bridges wire frames onto a live node's mailbox.
 //
-// The server side of the socket backend: a request frame's body is
-// enveloped exactly as an in-process sender would, pushed into the
-// mailbox, and the awaited reply value goes back as the reply frame
-// quoting the request's correlation ID. Node semantics — at-most-once
-// dedup, reply caches, crash behaviour — stay in LiveNode; the bridge
-// only carries.
+// The mailbox adaptor's server side, for standalone users that host a
+// runtime::LiveNode on its drain thread (benchmark probes, link tests): a
+// request frame's body is enveloped exactly as an in-process sender
+// would, pushed into the mailbox, and the awaited reply value goes back
+// as the reply frame quoting the request's correlation ID. It blocks the
+// NodeServer loop thread it runs on until the node answers, so it serves
+// one request at a time. LiveSystem and omig_node call
+// LiveNode::serve_frame on the loop thread instead. Node semantics —
+// at-most-once dedup, reply caches, crash behaviour — stay in LiveNode;
+// the bridge only carries.
 #pragma once
 
 #include <optional>

@@ -67,11 +67,6 @@ std::uint16_t Listener::port() const {
 
 void Listener::spawn(sim::Task task) { loop_->spawn(std::move(task), &tasks_); }
 
-Listener::Conn* Listener::find(std::uint64_t id) {
-  const auto it = conns_.find(id);
-  return it == conns_.end() ? nullptr : it->second.get();
-}
-
 void Listener::close(Conn& conn) {
   if (conn.closed) return;
   conn.closed = true;

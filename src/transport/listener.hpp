@@ -82,8 +82,6 @@ public:
 
   /// Runs `task` on the loop; stop() waits for it to end.
   void spawn(sim::Task task);
-  /// The open connection `id`, or nullptr once it closed.
-  [[nodiscard]] Conn* find(std::uint64_t id);
   /// Closes the fd, wakes the connection's coroutines (they observe
   /// `closed`) and forgets the connection. Idempotent.
   void close(Conn& conn);

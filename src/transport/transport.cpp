@@ -3,6 +3,8 @@
 #include <chrono>
 #include <thread>
 
+#include "runtime/live_node.hpp"
+
 namespace omig::transport {
 
 namespace {
@@ -19,24 +21,10 @@ runtime::Message unawaited_copy(const runtime::Message& message) {
 
 }  // namespace
 
-const char* to_string(SendStatus status) {
-  switch (status) {
-    case SendStatus::Ok:
-      return "ok";
-    case SendStatus::Closed:
-      return "closed";
-    case SendStatus::Unreachable:
-      return "unreachable";
-    case SendStatus::Oversized:
-      return "oversized";
-  }
-  return "unknown";
-}
-
 SendStatus InProcTransport::send(std::size_t from, std::size_t to,
                                  runtime::Message message) {
-  runtime::Mailbox<runtime::Message>* box = mailboxes_(to);
-  if (box == nullptr) return SendStatus::Closed;
+  runtime::LiveNode* node = nodes_(to);
+  if (node == nullptr) return SendStatus::Closed;
   const fault::Decision d = decide(from, to);
   if (d.delay > 0.0) {
     std::this_thread::sleep_for(
@@ -45,16 +33,17 @@ SendStatus InProcTransport::send(std::size_t from, std::size_t to,
   // Lost in flight: the message dies here and the sender observes the
   // loss through its broken reply.
   if (d.drop) return SendStatus::Ok;
-  if (d.duplicate) (void)box->push(unawaited_copy(message));
-  return box->push(std::move(message)) == runtime::PushStatus::Ok
+  // The copy is served first, so the original is the node's dedup hit.
+  if (d.duplicate) (void)node->serve(unawaited_copy(message));
+  return node->serve(std::move(message)) == runtime::PushStatus::Ok
              ? SendStatus::Ok
              : SendStatus::Closed;
 }
 
 SendStatus InProcTransport::send_shutdown(std::size_t to) {
-  runtime::Mailbox<runtime::Message>* box = mailboxes_(to);
-  if (box == nullptr || box->closed()) return SendStatus::Closed;
-  box->close();
+  runtime::LiveNode* node = nodes_(to);
+  if (node == nullptr || !node->running()) return SendStatus::Closed;
+  node->stop();
   return SendStatus::Ok;
 }
 

@@ -7,15 +7,17 @@
 // riding along — and awaits the promise; *how* the request reaches the
 // hosting node is the backend's business:
 //
-//   InProcTransport   — the envelope lands in the destination node's
-//                       mailbox as it is.
+//   InProcTransport   — the destination runtime::LiveNode serves the
+//                       envelope on the sending thread: the reply is set
+//                       before send() returns, and a local invocation is
+//                       a function call.
 //   AsyncTcpTransport — the body is encoded into a wire frame
 //                       (transport/wire) and sent over a localhost socket
 //                       from one event loop; the promise parks under a
 //                       correlation ID until the reply frame comes back.
-//                       Peers may live in the same process (NodeServer
-//                       bridging to a mailbox) or in separate omig_node
-//                       processes.
+//                       Peers may live in the same process (a NodeServer
+//                       whose handler serves the node on the loop thread)
+//                       or in separate omig_node processes.
 //
 // Fault injection lives at this seam: every send consults the shared
 // fault::FaultInjector, so one FaultPlan drives both backends — drops
@@ -25,9 +27,9 @@
 //
 // Send failures are explicit where the backend knows them on the spot:
 // SendStatus tells the retry/backoff layer *that* and *why* an endpoint
-// rejected a message (a crashed in-proc node's closed mailbox, an
-// oversized frame). A dead socket peer is only learnt asynchronously, so
-// there it surfaces as a broken reply.
+// rejected a message (a crashed in-proc node, an oversized frame). A dead
+// socket peer is only learnt asynchronously, so there it surfaces as a
+// broken reply.
 #pragma once
 
 #include <cstdint>
@@ -35,9 +37,12 @@
 #include <future>
 
 #include "fault/injector.hpp"
-#include "runtime/mailbox.hpp"
 #include "runtime/message.hpp"
 #include "transport/wire.hpp"
+
+namespace omig::runtime {
+class LiveNode;
+}
 
 namespace omig::transport {
 
@@ -47,12 +52,10 @@ namespace omig::transport {
 /// reply future.
 enum class SendStatus : std::uint8_t {
   Ok = 0,
-  Closed,       ///< endpoint rejected it: mailbox closed / transport stopping
+  Closed,       ///< endpoint rejected it: node down / transport stopping
   Unreachable,  ///< no such peer, or a shutdown frame never hit the wire
   Oversized,    ///< frame exceeds kMaxFramePayload
 };
-
-[[nodiscard]] const char* to_string(SendStatus status);
 
 /// A peer endpoint of the socket backend.
 struct Peer {
@@ -97,7 +100,7 @@ public:
 
   /// Crash notification from the system layer, so a backend can drop
   /// per-peer state (socket: reset the connection; in-proc: nothing — the
-  /// crashed mailbox itself rejects sends).
+  /// crashed node itself rejects sends).
   virtual void on_node_crash(std::size_t node) { (void)node; }
 
 protected:
@@ -112,26 +115,26 @@ private:
   fault::FaultInjector* injector_;  ///< non-owning; may be null
 };
 
-/// The in-process backend: messages go straight into the destination
-/// node's mailbox. Mailbox rejections map to SendStatus::Closed.
+/// The in-process backend: the destination node serves each message on
+/// the sending thread (runtime::LiveNode::serve), so the reply is ready
+/// when send() returns. A node that is down yields SendStatus::Closed.
 class InProcTransport final : public Transport {
 public:
-  /// `mailboxes` resolves a node index to its (possibly crashed) mailbox;
-  /// it must stay valid for the transport's lifetime.
-  using MailboxLookup =
-      std::function<runtime::Mailbox<runtime::Message>*(std::size_t)>;
+  /// `nodes` resolves a node index to its (possibly crashed) node, or
+  /// nullptr; every node must outlive the transport.
+  using NodeLookup = std::function<runtime::LiveNode*(std::size_t)>;
 
-  InProcTransport(MailboxLookup mailboxes, fault::FaultInjector* injector)
-      : Transport{injector}, mailboxes_{std::move(mailboxes)} {}
+  InProcTransport(NodeLookup nodes, fault::FaultInjector* injector)
+      : Transport{injector}, nodes_{std::move(nodes)} {}
 
   using Transport::send;
   SendStatus send(std::size_t from, std::size_t to,
                   runtime::Message message) override;
-  /// Closes the node's mailbox: it drains what is queued, then stops.
+  /// Stops the node: it rejects every later request.
   SendStatus send_shutdown(std::size_t to) override;
 
 private:
-  MailboxLookup mailboxes_;
+  NodeLookup nodes_;
 };
 
 }  // namespace omig::transport

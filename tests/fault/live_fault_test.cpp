@@ -176,6 +176,25 @@ TEST_P(LiveFaultBackend, MigrationPullsCheckpointOffDeadNode) {
   EXPECT_GE(sys->recoveries(), 1u);
 }
 
+TEST_P(LiveFaultBackend, MoveOffAKnownDeadSourceSendsNoEvict) {
+  LiveSystem::Options opts;
+  opts.nodes = 3;
+  auto sys = make(std::move(opts));
+  ASSERT_TRUE(sys->create("c", counter_state(), 0));
+  ASSERT_TRUE(sys->invoke("c", "inc", "").ok);  // lost with the node
+  sys->crash_node(0);
+  // The coordinator knows the source is down, so the member settles from
+  // its checkpoint at once: no evict is sent that the in-proc node could
+  // only reject, or that a dead socket peer would let time out through
+  // the whole retry budget.
+  ASSERT_TRUE(sys->migrate("c", 1));
+  EXPECT_EQ(sys->location("c"), 1u);
+  EXPECT_EQ(sys->invoke("c", "get", "").value, "0");
+  EXPECT_EQ(sys->recoveries(), 1u);
+  EXPECT_EQ(sys->retries(), 0u);
+  EXPECT_EQ(sys->send_rejections(), 0u);
+}
+
 /// Three attached counters homed on nodes 0, 1 and 2, each incremented
 /// once since its creation-time checkpoint.
 void make_cluster(LiveSystem& sys) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace omig::objsys {
 namespace {
 
@@ -117,6 +119,27 @@ TEST(LocationServiceTest, ImmediateUpdatePaysOnMigration) {
       svc.migration_overhead(obj, NodeId{1}, NodeId{2}, true);
   EXPECT_GT(overhead, 0.0);  // fan-out to the other nodes
   EXPECT_EQ(svc.messages(), 3u);
+}
+
+TEST(LocationServiceTest, RestartChargesOneMessagePerReseedUpdate) {
+  Fixture f;
+  LocationService svc{f.engine, f.registry, f.latency, f.rng,
+                      LocationScheme::None};
+  svc.enable_sharded(ConsistencyStrategy::LazyForward);
+  const NodeId victim{1};
+  std::uint64_t reseeded = 0;  // entries node 1 serves: slice + self
+  for (std::uint32_t i = 0; i < 12; ++i) {
+    const NodeId home{i % 4};
+    const ObjectId obj = f.registry.create("o" + std::to_string(i), home);
+    svc.register_object(obj);  // creation is setup: no message
+    if (hashed_owner(obj, 4) == victim || home == victim) ++reseeded;
+  }
+  ASSERT_EQ(svc.messages(), 0u);
+  svc.crash_node(victim);
+  EXPECT_EQ(svc.messages(), 0u);
+  svc.restart_node(victim);
+  EXPECT_GT(reseeded, 0u);
+  EXPECT_EQ(svc.messages(), reseeded);
 }
 
 TEST(LocationServiceTest, ToStringCoversAllSchemes) {

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <future>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "runtime/demo_types.hpp"
 #include "trace/log.hpp"
 
 namespace omig::runtime {
@@ -342,6 +347,148 @@ TEST(LiveSystemTest, ComparingNodesMovesOnStrictMajorities) {
   }
 }
 
+std::string this_thread_name() {
+  std::ostringstream id;
+  id << std::this_thread::get_id();
+  return id.str();
+}
+
+/// A type whose "where" method names the thread that runs it.
+ObjectFactory thread_probe_factory() {
+  return [](std::string name, ObjectState state) {
+    auto obj = std::make_unique<LiveObject>(std::move(name), std::move(state));
+    obj->register_method("where", [](ObjectState&, const std::string&) {
+      return this_thread_name();
+    });
+    return obj;
+  };
+}
+
+const char* backend_name(TransportKind kind) {
+  return kind == TransportKind::InProc ? "InProc" : "AsyncTcp";
+}
+
+TEST(LiveSystemTest, HandlersRunOnTheCallerInProcAndOnTheLoopOverTcp) {
+  for (const TransportKind kind :
+       {TransportKind::InProc, TransportKind::AsyncTcp}) {
+    SCOPED_TRACE(backend_name(kind));
+    LiveSystem::Options opts;
+    opts.nodes = 3;
+    opts.transport = kind;
+    LiveSystem sys{opts};
+    sys.register_type("probe", thread_probe_factory());
+    sys.start();
+    std::set<std::string> runners;
+    for (std::size_t node = 0; node < 3; ++node) {
+      const std::string name = "p" + std::to_string(node);
+      ASSERT_TRUE(
+          sys.create(name, ObjectState{.type = "probe", .fields = {}}, node));
+      const InvokeResult r = sys.invoke_from(node, name, "where", "");
+      ASSERT_TRUE(r.ok);
+      runners.insert(r.value);
+    }
+    std::string other_caller;
+    std::string other_runner;
+    std::thread other{[&] {
+      other_caller = this_thread_name();
+      other_runner = sys.invoke("p0", "where", "").value;
+    }};
+    other.join();
+    // In process each node runs the method on whichever thread invokes it;
+    // over a socket every node's handler runs on the one event loop.
+    ASSERT_EQ(runners.size(), 1u);
+    if (kind == TransportKind::InProc) {
+      EXPECT_EQ(*runners.begin(), this_thread_name());
+      EXPECT_EQ(other_runner, other_caller);
+    } else {
+      EXPECT_NE(*runners.begin(), this_thread_name());
+      EXPECT_EQ(other_runner, *runners.begin());
+    }
+  }
+}
+
+TEST(LiveSystemTest, ConcurrentCallersAndMigrationsConserveCounters) {
+  constexpr std::size_t kNodes = 4;
+  constexpr std::size_t kCounters = 16;
+  constexpr int kCallers = 4;
+  constexpr int kAddsPerCaller = 500;
+  for (const TransportKind kind :
+       {TransportKind::InProc, TransportKind::AsyncTcp}) {
+    SCOPED_TRACE(backend_name(kind));
+    LiveSystem::Options opts;
+    opts.nodes = kNodes;
+    opts.transport = kind;
+    LiveSystem sys{opts};
+    register_demo_types(sys);
+    sys.start();
+    const auto name = [](std::size_t i) { return "c" + std::to_string(i); };
+    // Four clusters of four counters, each cluster spread over all nodes.
+    for (std::size_t i = 0; i < kCounters; ++i) {
+      ASSERT_TRUE(
+          sys.create(name(i), make_state("counter", {{"count", "0"}}),
+                     i % kNodes));
+      if (i >= kNodes) {
+        ASSERT_TRUE(sys.attach(name(i - kNodes), name(i)));
+      }
+    }
+    std::array<std::atomic<int>, kCounters> acked{};
+    std::atomic<bool> done{false};
+    std::thread migrator{[&] {
+      for (std::size_t round = 0; !done.load() || round < 8; ++round) {
+        sys.migrate(name(round % kNodes), (round / kNodes + 1) % kNodes);
+      }
+    }};
+    std::vector<std::thread> callers;
+    for (int t = 0; t < kCallers; ++t) {
+      callers.emplace_back([&, t] {
+        for (int i = 0; i < kAddsPerCaller; ++i) {
+          const std::size_t c = static_cast<std::size_t>(t * 7 + i) % kCounters;
+          const auto from = static_cast<std::size_t>(t + i) % kNodes;
+          if (sys.invoke_from(from, name(c), "add", "1").ok) ++acked[c];
+        }
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+    done.store(true);
+    migrator.join();
+    EXPECT_GT(sys.migrations(), 0u);
+    // Every counter holds exactly its acked adds, and answers a local
+    // invoke at the node the directory names.
+    int total = 0;
+    const std::uint64_t remote_before = sys.remote_invocations();
+    for (std::size_t i = 0; i < kCounters; ++i) {
+      const std::optional<std::size_t> at = sys.location(name(i));
+      ASSERT_TRUE(at.has_value());
+      const InvokeResult r = sys.invoke_from(*at, name(i), "get", "");
+      ASSERT_TRUE(r.ok) << name(i);
+      EXPECT_EQ(r.value, std::to_string(acked[i].load())) << name(i);
+      total += acked[i].load();
+    }
+    EXPECT_EQ(sys.remote_invocations(), remote_before);
+    EXPECT_EQ(total, kCallers * kAddsPerCaller);
+  }
+}
+
+TEST(LiveSystemTest, AThrowingMethodFailsOnlyItsCall) {
+  for (const TransportKind kind :
+       {TransportKind::InProc, TransportKind::AsyncTcp}) {
+    SCOPED_TRACE(backend_name(kind));
+    LiveSystem::Options opts;
+    opts.nodes = 2;
+    opts.transport = kind;
+    LiveSystem sys{opts};
+    register_demo_types(sys);
+    sys.start();
+    ASSERT_TRUE(sys.create("c", make_state("counter", {{"count", "0"}}), 1));
+    // The demo counter parses its argument, so a bad one throws inside the
+    // handler — on the caller's thread in process, on the loop over TCP.
+    const InvokeResult bad = sys.invoke_from(0, "c", "add", "many");
+    EXPECT_FALSE(bad.ok);
+    EXPECT_TRUE(bad.value.starts_with("method add failed: ")) << bad.value;
+    EXPECT_EQ(sys.invoke_from(0, "c", "add", "2").value, "2");
+  }
+}
+
 TEST(LiveNodeTest, DoubleStartAndDoubleStopAreIdempotent) {
   const std::unordered_map<std::string, ObjectFactory> factories;
   LiveNode node{0, &factories};
@@ -405,6 +552,49 @@ TEST(LiveNodeTest, ReplacingInstallCountsTheObjectOnce) {
     EXPECT_TRUE(installed.get());
   }
   EXPECT_EQ(node.hosted_objects(), 1u);
+  node.stop();
+}
+
+TEST(LiveNodeTest, ACrashedNodeRejectsDirectRequestsUntilRestart) {
+  const std::unordered_map<std::string, ObjectFactory> factories{
+      {"counter", counter_factory()}};
+  LiveNode node{0, &factories};
+  node.open();
+  transport::WireInstall install{
+      .seq = 1, .name = "c", .state = counter_state()};
+  ASSERT_EQ(node.serve(install), std::optional<bool>{true});
+  node.crash();
+  const transport::WireInvoke get{
+      .seq = 2, .object = "c", .method = "get", .argument = ""};
+  std::future<InvokeResult> reply;
+  EXPECT_EQ(node.serve(envelop(get, reply)), PushStatus::Closed);
+  EXPECT_THROW(reply.get(), std::future_error);  // the reply broke
+  node.restart();
+  EXPECT_EQ(node.serve(envelop(get, reply)), PushStatus::Ok);
+  const InvokeResult served = reply.get();
+  EXPECT_FALSE(served.ok);  // answered: the crash lost the object
+  EXPECT_EQ(served.value, "object not resident: c");
+}
+
+TEST(LiveNodeTest, MailboxAndDirectCallsShareOneHandler) {
+  const std::unordered_map<std::string, ObjectFactory> factories{
+      {"counter", counter_factory()}};
+  LiveNode node{0, &factories};
+  node.start();
+  transport::WireInstall install{
+      .seq = 1, .name = "c", .state = counter_state()};
+  ASSERT_EQ(node.serve(install), std::optional<bool>{true});
+  std::future<InvokeResult> pushed;
+  const transport::WireInvoke inc{
+      .seq = 2, .object = "c", .method = "inc", .argument = ""};
+  ASSERT_EQ(node.mailbox().push(envelop(inc, pushed)), PushStatus::Ok);
+  EXPECT_EQ(pushed.get().value, "1");
+  transport::WireInvoke get{
+      .seq = 3, .object = "c", .method = "get", .argument = ""};
+  const std::optional<InvokeResult> direct = node.serve(get);
+  ASSERT_TRUE(direct.has_value());
+  EXPECT_EQ(direct->value, "1");
+  EXPECT_EQ(node.processed(), 3u);
   node.stop();
 }
 

@@ -1,13 +1,14 @@
 // End-to-end live-runtime scenario in the paper's motivating domain
 // (Section 1: office automation): three independently developed components
 // — intake, billing, archive — cooperate on shared case files across four
-// node threads. Exercises types, alliances, placement conflicts, visits
-// and migration-under-load together.
+// nodes. Exercises types, alliances, placement conflicts, visits and
+// migration-under-load together.
 //
 // Parametrised over the transport backend: the whole suite runs once with
-// in-process mailbox delivery and once with every inter-node request
-// marshalled through a wire frame and a localhost socket — the semantics
-// must not depend on how the messages travel (docs/transport.md).
+// in-process delivery (each node serves on the caller's thread) and once
+// with every inter-node request marshalled through a wire frame and a
+// localhost socket — the semantics must not depend on how the messages
+// travel (docs/transport.md).
 #include <gtest/gtest.h>
 
 #include <memory>

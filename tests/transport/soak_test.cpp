@@ -50,7 +50,7 @@ TEST(TransportSoak, ThousandConcurrentConnectionsZeroDropZeroDup) {
         reply.result.value = invoke->method + ":" + invoke->argument;
         return Frame{frame.corr, std::move(reply)};
       },
-      /*loop=*/nullptr, /*handler_threads=*/2);
+      /*loop=*/nullptr);
   const std::uint16_t port = server.start();
   ASSERT_NE(port, 0);
 

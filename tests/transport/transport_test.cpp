@@ -188,10 +188,7 @@ TEST(InProcTransportTest, ClosedMailboxYieldsTypedError) {
   runtime::LiveNode node{0, &factories};
   node.start();
   InProcTransport transport{
-      [&](std::size_t to) {
-        return to == 0 ? &node.mailbox() : nullptr;
-      },
-      nullptr};
+      [&](std::size_t to) { return to == 0 ? &node : nullptr; }, nullptr};
 
   WireInvoke msg;
   msg.seq = 1;

@@ -4,12 +4,13 @@
 //             [--data-dir DIR] [--fault-plan FILE]
 //             [--metrics-port P [--metrics-port-file FILE]]
 //             [--metrics-log-ms N]
-//       Hosts node N: a LiveNode event loop behind a loopback frame server
-//       (transport/wire). All demo object types are compiled in, so any
-//       coordinator can create and migrate demo objects here. The process
-//       exits when it receives a Shutdown frame. The bound port is printed
-//       to stdout and, with --port-file, written to FILE (atomically, via
-//       rename), which is how a launcher discovers an ephemeral port.
+//       Hosts node N: a LiveNode served on the event-loop thread of a
+//       loopback frame server (transport/wire). All demo object types are
+//       compiled in, so any coordinator can create and migrate demo
+//       objects here. The process exits when it receives a Shutdown
+//       frame. The bound port is printed to stdout and, with --port-file,
+//       written to FILE (atomically, via rename), which is how a launcher
+//       discovers an ephemeral port.
 //       --data-dir attaches a durable store (docs/durability.md): installs
 //       append fsynced WAL checkpoints before they are acked, and a
 //       relaunch on the same directory recovers every acked object —
@@ -67,7 +68,6 @@
 #include "scenario/live_driver.hpp"
 #include "scenario/scenario.hpp"
 #include "store/store.hpp"
-#include "transport/bridge.hpp"
 #include "transport/metrics_exporter.hpp"
 #include "transport/node_server.hpp"
 
@@ -119,10 +119,9 @@ bool write_port_file(const std::string& path, std::uint16_t port) {
 int serve(std::size_t id, std::uint16_t port, const std::string& port_file,
           const ServeOptions& serve_opts) {
   // Declared before the node: LiveNode::set_store requires the store to
-  // outlive the node, and ~LiveNode joins the event-loop thread — which
-  // may still be checkpointing into the store on the early-return error
-  // paths below. Destruction order (node first, then store/injector) is
-  // what makes every `return` after node.start() safe.
+  // outlive the node. Destruction order (server, loop, node, then
+  // store/injector) is what makes every `return` below safe: no handler
+  // runs once the server is gone.
   std::unique_ptr<fault::FaultInjector> injector;
   store::DurableStore durable;
   const auto factories = runtime::demo_factories();
@@ -163,7 +162,7 @@ int serve(std::size_t id, std::uint16_t port, const std::string& port_file,
         static_cast<unsigned long long>(info.truncations));
     std::fflush(stdout);
   }
-  node.start();
+  node.open();
 
   // One proactor loop carries all of this process's socket I/O: the frame
   // server's connections and the metrics scrape endpoint. Declared before
@@ -199,25 +198,21 @@ int serve(std::size_t id, std::uint16_t port, const std::string& port_file,
     delta_logger.start(std::chrono::milliseconds{serve_opts.metrics_log_ms});
   }
 
-  // The server thread flags the Shutdown frame so main can exit; the
-  // bridge has already closed the node's mailbox, which ends its loop.
+  // The loop thread serves every request frame on the node and flags the
+  // Shutdown frame, so main can exit.
   std::mutex mutex;
   std::condition_variable cv;
   bool stopping = false;
   transport::NodeServer server{
       [&](transport::Frame frame) {
-        const bool is_shutdown =
-            std::holds_alternative<transport::WireShutdown>(frame.payload);
-        auto reply =
-            transport::serve_on_mailbox(node.mailbox(), std::move(frame));
-        if (is_shutdown) {
+        if (std::holds_alternative<transport::WireShutdown>(frame.payload)) {
           {
             std::lock_guard lock{mutex};
             stopping = true;
           }
           cv.notify_all();
         }
-        return reply;
+        return node.serve_frame(std::move(frame));
       },
       &loop};
 
