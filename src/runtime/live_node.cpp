@@ -6,13 +6,6 @@
 
 namespace omig::runtime {
 
-namespace {
-/// Bound on the seq-keyed reply caches. Retransmissions arrive within a
-/// few retry rounds of the original, so a few thousand entries is a
-/// comfortable at-most-once window without unbounded growth.
-constexpr std::size_t kReplyCacheSize = 4096;
-}  // namespace
-
 LiveNode::LiveNode(
     std::size_t id,
     const std::unordered_map<std::string, ObjectFactory>* factories)
@@ -46,7 +39,7 @@ PushStatus LiveNode::serve(Message message) {
       [this](auto& envelope) {
         auto reply = serve(envelope.body);
         if (!reply.has_value()) return PushStatus::Closed;
-        envelope.reply.set_value(std::move(*reply));
+        envelope.answer(std::move(*reply));
         return PushStatus::Ok;
       },
       message);
@@ -80,7 +73,12 @@ void LiveNode::open() {
     mailbox_.reopen();
     drain_ = std::thread{[this] {
       // Ends once the mailbox is closed and drained (stop, or a crash).
-      while (auto msg = mailbox_.pop()) (void)serve(std::move(*msg));
+      while (auto msg = mailbox_.pop()) {
+        OMIG_ASSERT(!std::visit(
+            [](const auto& envelope) { return envelope.answers_inline(); },
+            *msg));
+        (void)serve(std::move(*msg));
+      }
     }};
   }
 }
@@ -117,9 +115,7 @@ void LiveNode::crash() {
     objects_.clear();
     installed_seq_.clear();
     invoke_replies_.clear();
-    invoke_order_.clear();
     evicted_states_.clear();
-    evict_order_.clear();
     dir_entries_.clear();
     hosted_.store(0);
   }
@@ -134,29 +130,15 @@ bool LiveNode::running() const {
   return up_;
 }
 
-template <class V>
-void LiveNode::remember(std::unordered_map<std::uint64_t, V>& cache,
-                        std::deque<std::uint64_t>& order, std::uint64_t seq,
-                        V value) {
-  if (cache.emplace(seq, std::move(value)).second) {
-    order.push_back(seq);
-    if (order.size() > kReplyCacheSize) {
-      cache.erase(order.front());
-      order.pop_front();
-    }
-  }
-}
-
 InvokeResult LiveNode::handle(const transport::WireInvoke& msg) {
   obs::node_metrics().invokes->inc();
   if (msg.seq != 0) {
-    auto cached = invoke_replies_.find(msg.seq);
-    if (cached != invoke_replies_.end()) {
+    if (const InvokeResult* cached = invoke_replies_.find(msg.seq)) {
       // Retransmission of a request we already executed: answer from the
       // cache, never run the method twice.
       deduped_.fetch_add(1, std::memory_order_relaxed);
       obs::node_metrics().dedup_hits->inc();
-      return cached->second;
+      return *cached;
     }
   }
   InvokeResult result;
@@ -166,9 +148,7 @@ InvokeResult LiveNode::handle(const transport::WireInvoke& msg) {
   } else {
     result = it->second->call(msg.method, msg.argument);
   }
-  if (msg.seq != 0) {
-    remember(invoke_replies_, invoke_order_, msg.seq, result);
-  }
+  if (msg.seq != 0) invoke_replies_.insert(msg.seq, result);
   return result;
 }
 
@@ -226,18 +206,18 @@ bool LiveNode::handle(const transport::WireDirUpdate& msg) {
 ObjectState LiveNode::handle(const transport::WireEvict& msg) {
   obs::node_metrics().evicts->inc();
   if (msg.seq != 0) {
-    auto cached = evicted_states_.find(msg.seq);
-    if (cached != evicted_states_.end()) {
+    if (const ObjectState* cached = evicted_states_.find(msg.seq)) {
       // Duplicate evict: the object is already gone — hand out the state
       // captured by the first delivery.
       deduped_.fetch_add(1, std::memory_order_relaxed);
       obs::node_metrics().dedup_hits->inc();
-      return cached->second;
+      return *cached;
     }
   }
   auto it = objects_.find(msg.name);
   if (it == objects_.end()) return ObjectState{};  // empty type: failure
-  ObjectState state = it->second->linearize();
+  // The object dies here, so its state moves out rather than being copied.
+  ObjectState state = std::move(*it->second).release();
   objects_.erase(it);
   hosted_.fetch_sub(1, std::memory_order_relaxed);
   obs::node_metrics().hosted_objects->sub(1);
@@ -247,9 +227,7 @@ ObjectState LiveNode::handle(const transport::WireEvict& msg) {
     // directory, not this store, is the arbiter of its new home).
     (void)store_->evict(msg.name);
   }
-  if (msg.seq != 0) {
-    remember(evicted_states_, evict_order_, msg.seq, state);
-  }
+  if (msg.seq != 0) evicted_states_.insert(msg.seq, state);
   return state;
 }
 

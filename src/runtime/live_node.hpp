@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -14,6 +13,7 @@
 #include "runtime/live_object.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/message.hpp"
+#include "runtime/reply_cache.hpp"
 #include "store/store.hpp"
 
 namespace omig::runtime {
@@ -31,7 +31,7 @@ namespace omig::runtime {
 ///
 /// Lifecycle: a node is down until open() or start() brings it up;
 /// [crash() → restart()]* → stop() follow. A node that is down rejects
-/// every request (PushStatus::Closed, the reply breaks). crash() models a
+/// every request (PushStatus::Closed, unanswered). crash() models a
 /// node failure: it waits for the handler in flight, then every hosted
 /// object and the dedup and directory state are lost; restart() brings
 /// the node back empty — the system layer reconciles the directory and
@@ -40,7 +40,9 @@ namespace omig::runtime {
 ///
 /// The mailbox is an adaptor for standalone users (tests, benchmark
 /// probes) that push enveloped requests from other threads: start()
-/// runs a thread that drains it into serve(). LiveSystem never uses it.
+/// runs a thread that drains it into serve(). Its envelopes must defer
+/// their answers (runtime::envelop does): an inline reply target would
+/// outlive the send that made it. LiveSystem never uses it.
 class LiveNode {
 public:
   LiveNode(std::size_t id,
@@ -73,8 +75,8 @@ public:
     processed_.fetch_add(1, std::memory_order_relaxed);
     return handle(body);
   }
-  /// serve() of an enveloped request, fulfilling its reply. A node that is
-  /// down rejects it: the envelope is destroyed, so its reply breaks.
+  /// serve() of an enveloped request, answering it. A node that is down
+  /// rejects it: the envelope is destroyed unanswered.
   PushStatus serve(Message message);
   /// serve() of a request frame: the reply frame, or nullopt when there is
   /// nothing to send back — the node is down, or the frame is no request
@@ -117,11 +119,6 @@ private:
   ObjectState handle(const transport::WireEvict& msg);
   transport::DirEntry handle(const transport::WireDirLookup& msg);
   bool handle(const transport::WireDirUpdate& msg);
-  /// Inserts into a seq-keyed cache, evicting the oldest entry beyond the
-  /// retention bound (enough to cover any plausible retransmission window).
-  template <class V>
-  void remember(std::unordered_map<std::uint64_t, V>& cache,
-                std::deque<std::uint64_t>& order, std::uint64_t seq, V value);
 
   std::size_t id_;
   const std::unordered_map<std::string, ObjectFactory>* factories_;
@@ -133,10 +130,10 @@ private:
   bool up_ = false;
   std::unordered_map<std::string, std::unique_ptr<LiveObject>> objects_;
   std::unordered_map<std::string, std::uint64_t> installed_seq_;
-  std::unordered_map<std::uint64_t, InvokeResult> invoke_replies_;
-  std::deque<std::uint64_t> invoke_order_;
-  std::unordered_map<std::uint64_t, ObjectState> evicted_states_;
-  std::deque<std::uint64_t> evict_order_;
+  /// The at-most-once windows: an invoke's result and an evict's state, by
+  /// the seq of the request that produced them.
+  ReplyCache<InvokeResult> invoke_replies_;
+  ReplyCache<ObjectState> evicted_states_;
   /// Sharded-directory state this node serves: its shard slice plus any
   /// forwarding hints left when an object migrated away. Volatile — a
   /// crash loses it, and the coordinator re-seeds the slice on restart.

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "runtime/object_state.hpp"
 
@@ -35,6 +36,9 @@ public:
 
   /// Linearises the object for transfer (state copy).
   [[nodiscard]] ObjectState linearize() const { return state_; }
+  /// Linearises an object that is about to be destroyed (an evict): its
+  /// state moves out, and the object is left empty.
+  [[nodiscard]] ObjectState release() && { return std::move(state_); }
 
 private:
   std::string name_;

@@ -262,28 +262,28 @@ void LiveSystem::run_fault_schedule() {
 
 bool LiveSystem::sent_ok(transport::SendStatus status) {
   if (status == transport::SendStatus::Ok) return true;
-  // The endpoint rejected the message outright (closed mailbox, oversized
+  // The endpoint rejected the message outright (node down, oversized
   // frame, unknown peer): no delivery was attempted, so the retry layer
-  // can count the rejection instead of inferring it from a broken promise.
+  // can count the rejection instead of inferring it from a lost reply.
   send_rejections_.fetch_add(1, std::memory_order_relaxed);
   obs::runtime_metrics().send_rejections->inc();
   return false;
 }
 
 template <class T>
-std::optional<T> LiveSystem::await_reply(std::future<T>& reply) {
+std::optional<T> LiveSystem::await_reply(ReplySlot<T>& reply) {
+  if (reply.value.has_value()) return std::move(reply.value);
+  // Unanswered and not deferred: dropped, or rejected by a down node.
+  if (!reply.deferred.valid()) return std::nullopt;
   try {
-    if (options_.reply_timeout.count() > 0) {
-      if (reply.wait_for(options_.reply_timeout) !=
-          std::future_status::ready) {
-        return std::nullopt;
-      }
+    if (options_.reply_timeout.count() > 0 &&
+        reply.deferred.wait_for(options_.reply_timeout) !=
+            std::future_status::ready) {
+      return std::nullopt;
     }
-    return reply.get();
+    return reply.deferred.get();
   } catch (const std::future_error&) {
-    // The message died unprocessed — dropped by the injector, discarded by
-    // a crash, or lost with a connection reset.
-    return std::nullopt;
+    return std::nullopt;  // died parked: a crash, or a connection reset
   }
 }
 
@@ -295,8 +295,8 @@ void LiveSystem::deliver_all(std::span<Delivery<Req>> batch,
     d.request.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
     d.rejected = !sent_ok(transport_->send(d.from, d.to, d.request, d.first));
   }
-  // In-proc replies are ready when send() returns. Over a socket, await
-  // the first attempts last-sent first: a NodeServer answers each
+  // In-proc answers are in their slots when send() returns. Deferred ones
+  // (a socket) are awaited last-sent first: a NodeServer answers each
   // connection in order, so once the last request to a node is answered
   // the earlier ones are too — the caller blocks about once per
   // destination rather than once per request.

@@ -36,7 +36,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -140,13 +139,13 @@ public:
     /// is released in place. Zero = locks never expire (paper semantics).
     std::chrono::milliseconds lock_lease{0};
     /// Retransmission budget per message (a lost message or crashed node
-    /// breaks the reply promise; each retry re-sends under the same
+    /// leaves the reply unanswered; each retry re-sends under the same
     /// sequence number, so delivery stays at-most-once).
     int max_retries = 8;
     /// Base backoff between retries; doubled per attempt (capped).
     std::chrono::milliseconds retry_backoff{1};
-    /// Optional reply timeout per delivery attempt; zero = wait forever
-    /// (losses are observed through broken promises, not timeouts).
+    /// Optional reply timeout per deferred delivery attempt; zero = wait
+    /// forever (losses are observed as unanswered replies, not timeouts).
     std::chrono::milliseconds reply_timeout{0};
 
     // --- durability (docs/durability.md) ----------------------------------
@@ -455,7 +454,7 @@ private:
     /// nullopt = the peer stayed unreachable — or, with stop_on_rejection,
     /// rejected an attempt outright.
     std::optional<typename Req::Reply> reply{};
-    std::future<typename Req::Reply> first{};  ///< the attempt in flight
+    ReplySlot<typename Req::Reply> first{};  ///< the attempt in flight
     /// The transport refused the first attempt — or the caller set it, as
     /// the peer is known down, and deliver_all() sends nothing.
     bool rejected = false;
@@ -515,10 +514,10 @@ private:
   /// counted and the caller retries (the peer may come back).
   bool sent_ok(transport::SendStatus status);
 
-  /// Waits for a reply future, honouring Options::reply_timeout. nullopt =
-  /// the message (or its processing node) died — retry.
+  /// The answer in `reply`: inline at once, deferred once it arrives
+  /// (Options::reply_timeout). nullopt = the message died — retry.
   template <class T>
-  std::optional<T> await_reply(std::future<T>& reply);
+  std::optional<T> await_reply(ReplySlot<T>& reply);
 
   /// Sleeps the exponential-backoff delay for retry `attempt` (>= 1).
   void backoff(int attempt);

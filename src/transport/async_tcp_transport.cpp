@@ -11,16 +11,16 @@ namespace omig::transport {
 
 namespace {
 
-/// Fulfils a parked envelope's promise from a reply frame. False when the
-/// frame does not answer that request kind — a protocol violation that
-/// costs the peer its connection.
+/// Answers a parked (deferred) envelope from a reply frame, on the loop
+/// thread. False when the frame does not answer that request kind — a
+/// protocol violation that costs the peer its connection.
 bool fulfil(runtime::Message& parked, Frame::Payload&& payload) {
   return std::visit(
       [&](auto& envelope) {
         using Req = decltype(envelope.body);
         auto* reply = std::get_if<WireReply<Req>>(&payload);
         if (reply == nullptr) return false;
-        envelope.reply.set_value(std::move(reply->result));
+        envelope.answer(std::move(reply->result));
         return true;
       },
       parked);
@@ -73,7 +73,8 @@ SendStatus AsyncTcpTransport::send(std::size_t from, std::size_t to,
   // stream is consumed in caller order (trace parity depends on this).
   // The delay itself becomes a loop timer instead of a caller sleep.
   const fault::Decision verdict = decide(from, to);
-  // "Sent", but lost in flight: the message dies here, its reply breaks.
+  // "Sent", but lost in flight: the message dies here, its slot stays
+  // empty.
   if (verdict.drop) return SendStatus::Ok;
   auto box = std::make_shared<Enqueue>();
   box->to = to;
@@ -92,9 +93,12 @@ SendStatus AsyncTcpTransport::send(std::size_t from, std::size_t to,
       message);
   if (box->bytes.size() - 4 > kMaxFramePayload) {
     obs::transport_metrics().send_rejections->inc();
-    return SendStatus::Oversized;  // the message dies here: its reply
-                                   // breaks, the typed status is the signal
+    return SendStatus::Oversized;  // the message dies here, unanswered:
+                                   // the typed status is the signal
   }
+  // The envelope outlives this call, and its reply frame is read on the
+  // loop thread: its answer travels through a promise from here on.
+  std::visit([](auto& envelope) { envelope.defer(); }, message);
   box->envelope = std::move(message);
   post_enqueue(std::move(box), verdict.delay);
   return SendStatus::Ok;

@@ -18,10 +18,12 @@
 //       (an injected duplicate's answer) is discarded; a malformed or
 //       mismatched reply kills the connection — strict, like the codec.
 //
-// Failure semantics: once a send returns Ok, every asynchronous failure
-// — connect budget exhausted, link reset, peer SIGKILLed, injected drop —
-// surfaces as a broken reply future, the "lost in flight" signal the
-// retry layer already handles. Injected delays arm a loop timer that
+// Failure semantics: a send defers its envelope's answer (a promise parked
+// by correlation ID, its future in the sender's slot) just before handing
+// it to the loop. Once a send returns Ok, every asynchronous failure —
+// connect budget exhausted, link reset, peer SIGKILLed — surfaces as a
+// broken reply future, and an injected drop as an empty slot: the "lost
+// in flight" signal the retry layer already handles. Injected delays arm a loop timer that
 // defers the enqueue; decide → delay → drop → dup ordering is unchanged.
 #pragma once
 
@@ -58,8 +60,8 @@ public:
   ~AsyncTcpTransport() override;
 
   using Transport::send;
-  /// Encodes the request and parks its reply promise until the answer
-  /// frame arrives.
+  /// Encodes the request, defers its answer and parks the promise until
+  /// the answer frame arrives.
   SendStatus send(std::size_t from, std::size_t to,
                   runtime::Message message) override;
 
@@ -90,9 +92,9 @@ private:
     std::optional<std::promise<SendStatus>> on_written;
   };
 
-  /// A request awaiting its reply frame: the envelope (its body already
-  /// encoded and moved out) keeps the reply promise; the send time feeds
-  /// the peer's RTT histogram.
+  /// A request awaiting its reply frame: the deferred envelope (its body
+  /// already encoded and moved out) keeps the reply promise; the send time
+  /// feeds the peer's RTT histogram.
   struct Parked {
     runtime::Message envelope;
     std::chrono::steady_clock::time_point sent_at;

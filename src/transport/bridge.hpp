@@ -2,9 +2,10 @@
 //
 // The mailbox adaptor's server side, for standalone users that host a
 // runtime::LiveNode on its drain thread (benchmark probes, link tests): a
-// request frame's body is enveloped exactly as an in-process sender
-// would, pushed into the mailbox, and the awaited reply value goes back
-// as the reply frame quoting the request's correlation ID. It blocks the
+// request frame's body is enveloped with its answer deferred up front (it
+// is answered on the drain thread), pushed into the mailbox, and the
+// awaited reply value goes back as the reply frame quoting the request's
+// correlation ID. It blocks the
 // NodeServer loop thread it runs on until the node answers, so it serves
 // one request at a time. LiveSystem and omig_node call
 // LiveNode::serve_frame on the loop thread instead. Node semantics —

@@ -9,12 +9,12 @@ namespace omig::transport {
 
 namespace {
 
-/// A same-body copy of `message` whose reply nobody awaits — how injected
-/// duplicates travel.
+/// A same-body copy of `message` with no reply target: its answer is
+/// discarded — how injected duplicates travel.
 runtime::Message unawaited_copy(const runtime::Message& message) {
   return std::visit(
       [](const auto& envelope) -> runtime::Message {
-        return std::decay_t<decltype(envelope)>{envelope.body, {}};
+        return std::decay_t<decltype(envelope)>{envelope.body};
       },
       message);
 }
@@ -31,10 +31,12 @@ SendStatus InProcTransport::send(std::size_t from, std::size_t to,
         std::chrono::duration<double, std::milli>{d.delay});
   }
   // Lost in flight: the message dies here and the sender observes the
-  // loss through its broken reply.
+  // loss as its empty reply slot.
   if (d.drop) return SendStatus::Ok;
   // The copy is served first, so the original is the node's dedup hit.
   if (d.duplicate) (void)node->serve(unawaited_copy(message));
+  // Never deferred: the node answers into the sender's slot before this
+  // returns.
   return node->serve(std::move(message)) == runtime::PushStatus::Ok
              ? SendStatus::Ok
              : SendStatus::Closed;

@@ -2,11 +2,12 @@
 // length-prefixed frame.
 //
 // The Wire* request bodies below are the runtime's one request vocabulary:
-// in-process they travel inside a runtime::Envelope next to a
-// `std::promise` of their reply, which cannot cross a process boundary. At
-// the socket seam a request instead carries a correlation ID, and the peer
+// in-process they travel inside a runtime::Envelope that points at the
+// sender's reply slot, which cannot cross a process boundary. At the
+// socket seam a request instead carries a correlation ID, and the peer
 // answers with a reply frame quoting the same ID — the sending transport
-// matches it back to the waiting promise. The frame layout is
+// matches it back to the envelope parked under that ID, whose deferred
+// promise it fulfils. The frame layout is
 //
 //     u32  payload length (little-endian, excludes this prefix)
 //     u8   protocol version (kWireVersion)

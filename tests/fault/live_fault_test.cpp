@@ -8,9 +8,12 @@
 
 #include <chrono>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "fault/fault_plan.hpp"
 #include "runtime/live_system.hpp"
@@ -108,6 +111,46 @@ TEST_P(LiveFaultBackend, DuplicatesAreDeduplicated) {
   EXPECT_GT(sys->duplicated_messages(),
             static_cast<std::uint64_t>(kCalls) - 1);
   EXPECT_GT(sys->deduplicated_messages(), 0u);
+}
+
+TEST_P(LiveFaultBackend, DuplicatedTransfersKeepEveryUpdate) {
+  // Every message travels twice, the evicts and installs of each transfer
+  // too: a duplicate evict must answer the state its first delivery
+  // captured, and a duplicate install must not rebuild the object.
+  LiveSystem::Options opts;
+  opts.nodes = 3;
+  opts.fault_plan = fault::parse_plan_text("seed 5\ndup * * 1.0\n");
+  auto sys = make(std::move(opts));
+  const std::vector<std::string> names{"a", "b", "c", "d"};
+  for (const std::string& name : names) {
+    ASSERT_TRUE(sys->create(name, counter_state(), 0));
+  }
+  for (std::size_t i = 1; i < names.size(); ++i) {
+    ASSERT_TRUE(sys->attach("a", names[i]));
+  }
+  std::map<std::string, int> acked;
+  for (int round = 0; round < 20; ++round) {
+    const std::size_t there = 1 + round % 2;
+    auto token = sys->visit("a", there);
+    ASSERT_TRUE(token.granted);
+    for (const std::string& name : names) {
+      if (sys->invoke_from(there, name, "inc", "").ok) ++acked[name];
+    }
+    sys->end(token);
+    ASSERT_TRUE(sys->migrate("a", round % 3));
+    for (const std::string& name : names) {
+      if (sys->invoke(name, "inc", "").ok) ++acked[name];
+    }
+  }
+  for (const std::string& name : names) {
+    const std::optional<std::size_t> home = sys->location(name);
+    ASSERT_TRUE(home.has_value());
+    const InvokeResult got = sys->invoke_from(*home, name, "get", "");
+    ASSERT_TRUE(got.ok) << name << ": " << got.value;
+    EXPECT_EQ(got.value, std::to_string(acked[name])) << name;
+  }
+  EXPECT_GT(sys->deduplicated_messages(), 0u);
+  EXPECT_EQ(sys->recoveries(), 0u);
 }
 
 TEST_P(LiveFaultBackend, DelaysSlowDeliveryWithoutBreakingIt) {

@@ -555,6 +555,43 @@ TEST(LiveNodeTest, ReplacingInstallCountsTheObjectOnce) {
   node.stop();
 }
 
+TEST(LiveNodeTest, DuplicateEvictAnswersTheFirstDeliveryState) {
+  const std::unordered_map<std::string, ObjectFactory> factories{
+      {"counter", counter_factory()}};
+  LiveNode node{0, &factories};
+  node.open();
+  transport::WireInstall install{
+      .seq = 1, .name = "c", .state = counter_state()};
+  ASSERT_EQ(node.serve(install), std::optional<bool>{true});
+  transport::WireInvoke inc{
+      .seq = 2, .object = "c", .method = "inc", .argument = ""};
+  ASSERT_EQ(node.serve(inc)->value, "1");
+
+  transport::WireEvict evict{.seq = 3, .name = "c"};
+  const std::optional<ObjectState> first = node.serve(evict);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->fields.at("value"), "1");
+  EXPECT_EQ(node.hosted_objects(), 0u);
+  // The same evict again: the object is gone, and the answer is the state
+  // the first delivery captured.
+  EXPECT_EQ(node.serve(evict), first);
+  EXPECT_EQ(node.deduplicated(), 1u);
+
+  // The object comes back and moves on; a stale duplicate of the old
+  // evict still answers the old state and leaves the resident copy alone.
+  transport::WireInstall back{.seq = 4, .name = "c", .state = *first};
+  ASSERT_EQ(node.serve(back), std::optional<bool>{true});
+  inc.seq = 5;
+  ASSERT_EQ(node.serve(inc)->value, "2");
+  EXPECT_EQ(node.serve(evict), first);
+  EXPECT_EQ(node.deduplicated(), 2u);
+  EXPECT_EQ(node.hosted_objects(), 1u);
+  transport::WireInvoke get{
+      .seq = 6, .object = "c", .method = "get", .argument = ""};
+  EXPECT_EQ(node.serve(get)->value, "2");
+  node.stop();
+}
+
 TEST(LiveNodeTest, ACrashedNodeRejectsDirectRequestsUntilRestart) {
   const std::unordered_map<std::string, ObjectFactory> factories{
       {"counter", counter_factory()}};

@@ -1,7 +1,8 @@
-// Transport backends: typed send errors, TCP reconnect after a reset, and
-// the core equivalence property — the same workflow with the same
-// FaultPlan produces the same protocol-event trace whether the traffic
-// stays in-process or takes the full wire round trip.
+// Transport backends: where each backend delivers a reply, typed send
+// errors, TCP reconnect after a reset, and the core equivalence property —
+// the same workflow with the same FaultPlan produces the same
+// protocol-event trace whether the traffic stays in-process or takes the
+// full wire round trip.
 #include "transport/transport.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,8 @@
 #include <memory>
 #include <string>
 
+#include "fault/fault_plan.hpp"
+#include "fault/injector.hpp"
 #include "runtime/demo_types.hpp"
 #include "runtime/live_node.hpp"
 #include "runtime/live_system.hpp"
@@ -104,6 +107,22 @@ TEST_P(TcpLink, RequestReplyRoundTrip) {
   EXPECT_EQ(evicted.fields.at("count"), "8");
 }
 
+TEST_P(TcpLink, AnswerArrivesThroughTheDeferredFuture) {
+  ASSERT_TRUE(install("c", runtime::make_state("counter", {{"count", "2"}})));
+  WireInvoke msg;
+  msg.seq = next_seq_++;
+  msg.object = "c";
+  msg.method = "get";
+  runtime::ReplySlot<runtime::InvokeResult> slot;
+  ASSERT_EQ(tcp_->send(kSender, 0, msg, slot), SendStatus::Ok);
+  // The envelope outlives send(): its answer was deferred, never written
+  // into the slot itself.
+  EXPECT_FALSE(slot.value.has_value());
+  ASSERT_TRUE(slot.deferred.valid());
+  EXPECT_EQ(slot.deferred.get().value, "2");
+  EXPECT_FALSE(slot.value.has_value());
+}
+
 TEST_P(TcpLink, ManyInFlightRequestsDemultiplexByCorrelation) {
   ASSERT_TRUE(install("c", runtime::make_state("counter", {{"count", "0"}})));
   // Issue a burst of invokes before reading any reply: every future must
@@ -181,9 +200,113 @@ TEST_P(TcpLink, OversizedFrameIsRejectedWithoutKillingTheLink) {
   EXPECT_EQ(reply.get().value, "1");
 }
 
-// --- in-proc typed errors ---------------------------------------------------
+// --- in-proc reply delivery and typed errors --------------------------------
 
-TEST(InProcTransportTest, ClosedMailboxYieldsTypedError) {
+/// A node hosting counter "c", served in-process through `injector`.
+class InProcReplies : public ::testing::Test {
+protected:
+  void SetUp() override {
+    factories_ = runtime::demo_factories();
+    node_ = std::make_unique<runtime::LiveNode>(0, &factories_);
+    node_->open();
+    WireInstall install{.seq = 1,
+                        .name = "c",
+                        .state = runtime::make_state("counter",
+                                                     {{"count", "0"}})};
+    ASSERT_EQ(node_->serve(install), std::optional<bool>{true});
+  }
+  void TearDown() override { node_->stop(); }
+
+  InProcTransport transport(fault::FaultInjector* injector = nullptr) {
+    return InProcTransport{
+        [this](std::size_t to) { return to == 0 ? node_.get() : nullptr; },
+        injector};
+  }
+  static WireInvoke add(std::uint64_t seq) {
+    return WireInvoke{.seq = seq, .object = "c", .method = "add",
+                      .argument = "1"};
+  }
+
+  std::unordered_map<std::string, runtime::ObjectFactory> factories_;
+  std::unique_ptr<runtime::LiveNode> node_;
+};
+
+TEST_F(InProcReplies, AnswerLandsInTheSendersSlotBeforeSendReturns) {
+  InProcTransport inproc = transport();
+  runtime::ReplySlot<runtime::InvokeResult> slot;
+  ASSERT_EQ(inproc.send(kSender, 0, add(2), slot), SendStatus::Ok);
+  ASSERT_TRUE(slot.value.has_value());
+  EXPECT_TRUE(slot.value->ok);
+  EXPECT_EQ(slot.value->value, "1");
+  EXPECT_FALSE(slot.deferred.valid());  // no promise, no future
+}
+
+TEST_F(InProcReplies, InjectedDropLeavesTheSlotEmpty) {
+  fault::FaultInjector injector{fault::parse_plan_text("drop * * 1.0\n")};
+  InProcTransport inproc = transport(&injector);
+  runtime::ReplySlot<runtime::InvokeResult> slot;
+  ASSERT_EQ(inproc.send(kSender, 0, add(2), slot), SendStatus::Ok);
+  EXPECT_FALSE(slot.value.has_value());
+  EXPECT_FALSE(slot.deferred.valid());
+  EXPECT_EQ(node_->processed(), 1u);  // only the set-up install
+}
+
+TEST_F(InProcReplies, DuplicateIsServedFirstAndTheOriginalIsTheDedupHit) {
+  fault::FaultInjector injector{fault::parse_plan_text("dup * * 1.0\n")};
+  InProcTransport inproc = transport(&injector);
+  runtime::ReplySlot<runtime::InvokeResult> slot;
+  // Without a seq both copies run: the original's answer shows that the
+  // copy ran before it.
+  ASSERT_EQ(inproc.send(kSender, 0, add(0), slot), SendStatus::Ok);
+  ASSERT_TRUE(slot.value.has_value());
+  EXPECT_EQ(slot.value->value, "2");
+  EXPECT_EQ(node_->deduplicated(), 0u);
+  // Under a seq the copy runs and the original is answered from the
+  // node's reply cache.
+  ASSERT_EQ(inproc.send(kSender, 0, add(3), slot), SendStatus::Ok);
+  ASSERT_TRUE(slot.value.has_value());
+  EXPECT_EQ(slot.value->value, "3");
+  EXPECT_EQ(node_->deduplicated(), 1u);
+}
+
+TEST_F(InProcReplies, DownNodeIsClosedWithAnEmptySlot) {
+  InProcTransport inproc = transport();
+  runtime::ReplySlot<runtime::InvokeResult> slot;
+  EXPECT_EQ(inproc.send(kSender, 3, add(2), slot), SendStatus::Closed);
+  EXPECT_FALSE(slot.value.has_value());  // no such node
+  node_->crash();
+  EXPECT_EQ(inproc.send(kSender, 0, add(2), slot), SendStatus::Closed);
+  EXPECT_FALSE(slot.value.has_value());
+  EXPECT_FALSE(slot.deferred.valid());
+}
+
+TEST_F(InProcReplies, FutureShorthandsDeferUpFront) {
+  InProcTransport inproc = transport();
+  std::future<bool> installed;
+  ASSERT_EQ(inproc.send_install(
+                kSender, 0,
+                WireInstall{.seq = 2,
+                            .name = "d",
+                            .state = runtime::make_state("counter",
+                                                         {{"count", "4"}})},
+                installed),
+            SendStatus::Ok);
+  // Served on this thread: the future is ready when send() returns.
+  ASSERT_EQ(installed.wait_for(std::chrono::seconds{0}),
+            std::future_status::ready);
+  EXPECT_TRUE(installed.get());
+  std::future<runtime::InvokeResult> reply;
+  ASSERT_EQ(inproc.send_invoke(kSender, 0,
+                               WireInvoke{.seq = 3, .object = "d",
+                                          .method = "get", .argument = ""},
+                               reply),
+            SendStatus::Ok);
+  ASSERT_EQ(reply.wait_for(std::chrono::seconds{0}),
+            std::future_status::ready);
+  EXPECT_EQ(reply.get().value, "4");
+}
+
+TEST(InProcTransportTest, DownNodeYieldsTypedError) {
   auto factories = runtime::demo_factories();
   runtime::LiveNode node{0, &factories};
   node.start();
@@ -199,11 +322,11 @@ TEST(InProcTransportTest, ClosedMailboxYieldsTypedError) {
   EXPECT_FALSE(reply.get().ok);  // unknown object, but delivered
 
   EXPECT_EQ(transport.send_invoke(kSender, 3, msg, reply),
-            SendStatus::Closed);  // no such mailbox
+            SendStatus::Closed);  // no such node
 
   node.crash();
   EXPECT_EQ(transport.send_invoke(kSender, 0, msg, reply),
-            SendStatus::Closed);  // crashed: mailbox rejects
+            SendStatus::Closed);  // crashed: the node rejects
   node.stop();
 }
 
